@@ -9,6 +9,8 @@ with the exact :class:`~repro.sim.stats.LatencyRecorder` quantiles
 within the digest's documented error bound.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.analyze import (
@@ -104,6 +106,15 @@ class TestSegmentation:
         assert starts == sorted(starts)
         assert all(v > 0.0 for _s, v in series)
         assert starts[-1] <= metrics.finished_at
+
+
+class TestSegmentationGolden:
+    def test_phases_match_golden(self):
+        _m, _t, _tel, phases = _storm(clients=24, items=6)
+        assert [p.label for p in phases] == ["steady", "steady"]
+        dump = repr(_phase_dump(phases))
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "585e87f4bf6a95aa3670016791ce2df50620447adeff60ee958b7b77622e8a2a")
 
 
 class TestSegmentationKernelIndependence:

@@ -10,6 +10,7 @@ JSON exports must be byte-identical across all three simulation kernels
 (occupant tracking is pure bookkeeping).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,19 @@ from repro.sim.critpath import validate_blame
 #: The fig14 '-s' probe point: past the knee (~24 clients) but small
 #: enough for CI — the same point the whatif knee battery uses.
 _FIG14_SMALL = dict(scale="quick", systems=["mantle"], clients=24)
+
+
+#: sha256 of the blame exports, captured when all three schedulers then in
+#: the tree produced them byte for byte.
+_FIG14_EXPORT_SHA256 = (
+    "91bd1e1f82b98001c0edfded8746b286ee3a0f8248d2356ba928e38e4fd3f2cc")
+_MULTITENANT_EXPORT_SHA256 = (
+    "2492012c9b776a1e9efe06ee06faa09864728e7579eebcd137de023f7e8536dd")
+
+
+def _sha256_file(path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _kernel_envs():
@@ -96,6 +110,12 @@ class TestBlameValidation:
         (top_op, _tenant, _resource), _us = blame.top_culprits(1)[0]
         assert top_op == "mkdir"
 
+    def test_fig14_export_matches_golden(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
+        assert _sha256_file(tmp_path / artifacts[0]["path"]) == \
+            _FIG14_EXPORT_SHA256
+
     def test_fig14_export_byte_identical_across_kernels(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -121,6 +141,13 @@ class TestBlameValidation:
         # The noisy neighbour owns the majority of the victim's queueing.
         assert victim_rows.get("storm", 0.0) > 0.5 * total
         assert artifact["victim_mean_us"] > 0.0
+
+    def test_multitenant_export_matches_golden(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        artifact = run_multitenant(scale="quick")
+        assert _sha256_file(tmp_path / artifact["path"]) == \
+            _MULTITENANT_EXPORT_SHA256
 
     def test_multitenant_export_byte_identical_across_kernels(
             self, tmp_path, monkeypatch):

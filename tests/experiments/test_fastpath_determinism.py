@@ -14,6 +14,8 @@ tests pin that down at three levels:
 single-loop kernels' results exactly, on mdtest and on a full figure.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.cluster import build_system
@@ -24,7 +26,7 @@ from repro.sim.resources import Resource
 from repro.workloads.mdtest import MdtestWorkload
 
 
-def _kernel_trace(fast_paths: bool):
+def _kernel_trace(fast_paths=None):
     """A scenario touching every fast path: zero-delay resumes, contended
     resources, AnyOf fan-out and interrupts.  Returns the (time, label)
     event trace."""
@@ -76,6 +78,44 @@ def _mdtest_fingerprint():
 def _fig12_rows():
     tables = get_experiment("fig12").run(scale="quick")
     return [tuple(row) for table in tables for row in table.rows]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Golden values, captured when the default, legacy all-heap and
+#: lane-sharded schedulers all reproduced them bit for bit.
+_KERNEL_TRACE_SHA256 = (
+    "940251a72c2000ccf3becef0b57862da015d2506af3ed92125fff062760b68df")
+_MDTEST_FINGERPRINT = (72, 0, 1704.4, {"objstat": (72, 284.066666667)},
+                       {"objstat": (72, 2.0)})
+_FIG12_QUICK_ROWS = [
+    ("create", 36.3, 46.1, 118.9, 117.9, 3.25, 2.56, 0.99),
+    ("delete", 33.9, 43.6, 103.5, 93.4, 2.75, 2.15, 0.9),
+    ("objstat", 49.2, 64.8, 145.8, 168.4, 3.43, 2.6, 1.16),
+    ("dirstat", 44.8, 61.4, 139.0, 167.0, 3.73, 2.72, 1.2),
+    ("create", "cpu-bound", "cpu-bound", "underloaded", "underloaded"),
+    ("delete", "cpu-bound", "cpu-bound", "rpc-bound", "underloaded"),
+    ("objstat", "cpu-bound", "cpu-bound", "underloaded", "rpc-bound"),
+    ("dirstat", "cpu-bound", "cpu-bound", "underloaded", "rpc-bound"),
+]
+
+
+class TestGoldenValues:
+    def test_kernel_trace_matches_golden(self):
+        trace = _kernel_trace()
+        assert len(trace) == 12
+        assert trace[-1] == (4.0, "end")
+        assert _sha256(repr(trace)) == _KERNEL_TRACE_SHA256
+
+    def test_mdtest_metrics_match_golden(self):
+        assert _mdtest_fingerprint() == _MDTEST_FINGERPRINT
+
+    def test_fig12_quick_matches_golden(self):
+        first = _fig12_rows()
+        assert first == _FIG12_QUICK_ROWS
+        assert _fig12_rows() == first
 
 
 class TestFastPathDeterminism:

@@ -8,6 +8,7 @@ validate against its schema and be byte-identical across the three
 simulation kernels.
 """
 
+import hashlib
 import json
 import os
 
@@ -68,6 +69,18 @@ class TestTriageStorm:
         assert stats["started"] > 0
         assert stats["kept_roots"] > 0
         assert stats["kept_spans"] > 0
+
+
+class TestTriageGolden:
+    def test_export_matches_golden(self, tmp_path):
+        case = resolve_case("mkdir")
+        artifact = triage_point("mantle", "mkdir", case, "quick",
+                                clients=24, items=6,
+                                out_base=str(tmp_path / "triage"))
+        with open(artifact["path"], "rb") as handle:
+            blob = handle.read()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "8707a6d16dc34bbdc4fba5b905099beb97812c08f17f446dd108e8f837ae35db")
 
 
 class TestTriageKernelIndependence:

@@ -15,6 +15,7 @@ The guarantees that make the gating profile trustworthy are pinned here:
   bit-identical to an uninstrumented run on both kernels.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -409,6 +410,16 @@ class TestClusterInvariants:
             assert 0.0 <= row.gated_frac <= 1.0
         # Replication cost exists that no op's path runs through.
         assert any(row.offpath_us > 0.0 for row in contrast)
+
+    def test_export_matches_golden(self):
+        """The critpath export of this traced run, pinned by digest."""
+        _m, tracer, _t = _traced_run()
+        crit = critpath_from_tracer(tracer, name="kernel-check")
+        contrast = contrast_with_profile(crit, profile_from_tracer(tracer))
+        blob = json.dumps(to_critpath_payload(crit, contrast),
+                          sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "9843b457bf6a72495a3ec8eada1619588c618da0f1d7955ba52d5c79576959e4")
 
     def test_export_byte_identical_across_kernels(self, monkeypatch):
         blobs = {}

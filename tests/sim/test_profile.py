@@ -15,6 +15,8 @@ explicit) are pinned here:
 * profiler CPU reconciles exactly with telemetry's busy counters.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.cluster import build_system
@@ -262,6 +264,14 @@ class TestProfiledRunInvariants:
             expected = telemetry.find("host.cpu_busy_us", host).total
             assert by_host.get(host, 0.0) == pytest.approx(expected,
                                                            rel=1e-12)
+
+    def test_folded_output_matches_golden(self):
+        _m, tracer, _t = _profiled_run()
+        folded = to_folded(profile_from_tracer(tracer))
+        assert validate_folded(folded) == []
+        digest = hashlib.sha256("\n".join(folded).encode()).hexdigest()
+        assert digest == (
+            "4c39b98762e26036b7118137b8514f5c8ca6d297c1abbac06a73ea845ab24829")
 
     def test_folded_output_identical_across_kernels(self, monkeypatch):
         monkeypatch.setenv("MANTLE_SIM_FAST", "1")
