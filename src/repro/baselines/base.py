@@ -8,8 +8,7 @@ Operation methods are *generators* running inside the discrete-event
 simulation; ``perform`` is the uniform typed entry point: it dispatches a
 :class:`repro.ops.Op` through the per-system handler table, stamps the
 :class:`~repro.sim.stats.OpContext`, and (under an enabled tracer) opens the
-operation's root span.  The legacy stringly ``submit(op, *args)`` survives
-as a thin deprecation shim over ``perform``.
+operation's root span.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Optional
 
-from repro.ops import OP_NAMES, Op, make_op
+from repro.ops import OP_NAMES, Op
 from repro.sim.core import Simulator
 from repro.sim.network import Network
 from repro.sim.stats import OpContext
@@ -134,25 +133,6 @@ class MetadataSystem:
             telemetry.digest(OP_LATENCY_DIGEST_PREFIX + op.name).record(
                 self.sim.now, self.sim.now - ctx.start)
         return result
-
-    def submit(self, op: str, *args, ctx: Optional[OpContext] = None):
-        """Legacy stringly entry point — deprecated, emits DeprecationWarning.
-
-        A shim over :meth:`perform`; new code should build a
-        :class:`repro.ops.Op` and call ``perform`` directly.  Raises
-        ``ValueError`` for unknown operation names, as it always did.
-        Scheduled for removal once no in-repo caller remains (see
-        docs/observability.md, "Deprecations").
-        """
-        import warnings
-        warnings.warn(
-            "MetadataSystem.submit(name, *args) is deprecated; build a typed "
-            "repro.ops.Op and call perform(op) instead",
-            DeprecationWarning, stacklevel=2)
-        # Not itself a generator function: the warning fires at call time
-        # (with a stacklevel pointing at the caller), and the returned
-        # perform() generator drives exactly as before under ``yield from``.
-        return self.perform(make_op(op, *args), ctx=ctx)
 
     def data_access(self, ctx: OpContext):
         """One small-object data-service access: a single RPC plus tens of

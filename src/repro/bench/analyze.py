@@ -30,8 +30,8 @@ else longest steady, ...).  The fixed middle-half :func:`steady_window`
 survives only as the fallback for runs without windowed telemetry.
 
 The classifier itself is pure arithmetic over these numbers, so it is
-unit-testable on synthetic timelines and bit-deterministic across
-kernels (every input derives from simulated time only).
+unit-testable on synthetic timelines and bit-deterministic (every input
+derives from simulated time only).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def classify_run(system, metrics, telemetry=None,
 # it explains at least SEGMENT_MIN_GAIN of the run's total variance.
 # Every input is windowed simulated-time telemetry and every comparison
 # breaks ties leftward, so segment boundaries (and therefore triage
-# exports) are bit-identical across all three kernels.
+# exports) are bit-identical across repeat runs.
 
 
 #: Stop splitting after this many phases.

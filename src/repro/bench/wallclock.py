@@ -17,11 +17,6 @@ pytest so they can execute in CI and inside the JSON harness:
   ``Store`` put/get ping-pong (zero-delay event fast path).
 * ``anyof_fanout``       — ``AnyOf`` over 64 children (O(1) index map).
 
-The *multi-host* benches below them measure the lane-sharded kernel where
-it matters — many hosts, RPC-heavy, thousands of pending timers — by
-running the identical topology with lanes off and on and reporting the
-ratio.
-
 Baselines live as one JSON file per recorded revision under
 ``src/repro/bench/baselines/``; ``--assert-vs REV`` gates the current
 geomean against any of them and ``--save-baseline REV`` records a new one.
@@ -36,34 +31,20 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.core import AllOf, AnyOf, Simulator
-from repro.sim.host import Host
-from repro.sim.network import Network, Server
+from repro.sim.core import AnyOf, Simulator
 from repro.sim.resources import Resource, Store
 from repro.sim.telemetry import NULL_TELEMETRY
 from repro.sim.trace import NULL_TRACER
 
-#: Kernel selector -> Simulator kwargs.  "fast" is the default two-tier
-#: scheduler, "legacy" the original all-heap loop, "lanes" the per-host
-#: lane-sharded kernel.  All three produce bit-identical simulated results.
-KERNELS: Dict[str, Dict[str, object]] = {
-    "fast": {"fast_paths": True, "lanes": 0},
-    "legacy": {"fast_paths": False, "lanes": 0},
-    "lanes": {"fast_paths": True, "lanes": True},
-}
-
-
-def _untraced_sim(kernel: str = "fast") -> Simulator:
+def _untraced_sim() -> Simulator:
     """A simulator with tracing and telemetry explicitly off.
 
     The kernel numbers gate the "zero cost when off" contract of the span
     tracer and the telemetry registry, so they must not silently inherit
-    ``MANTLE_TRACE`` / ``MANTLE_TELEMETRY`` from the environment; the
-    explicit kernel kwargs likewise shield ``MANTLE_SIM_FAST`` /
-    ``MANTLE_SIM_LANES``.
+    ``MANTLE_TRACE`` / ``MANTLE_TELEMETRY`` from the environment.
     """
-    return Simulator(tracer=NULL_TRACER, telemetry=NULL_TELEMETRY,
-                     **KERNELS[kernel])
+    return Simulator(tracer=NULL_TRACER, telemetry=NULL_TELEMETRY)
+
 
 #: Repository root (src/repro/bench/wallclock.py -> repo root).
 REPO_ROOT = os.path.abspath(
@@ -98,10 +79,9 @@ def load_baseline(rev: str) -> Dict[str, object]:
 
 
 def save_baseline(rev: str, kernel_results: Dict[str, Dict[str, float]],
-                  commit: str = "", note: str = "",
-                  kernel: str = "fast") -> str:
+                  commit: str = "", note: str = "") -> str:
     """Record ``kernel_results`` as baseline ``rev`` (merging with an
-    existing file so fast and legacy numbers can be recorded separately)."""
+    existing file, whose other keys are kept)."""
     path = os.path.join(BASELINE_DIR, rev + ".json")
     if os.path.exists(path):
         with open(path) as handle:
@@ -114,36 +94,21 @@ def save_baseline(rev: str, kernel_results: Dict[str, Dict[str, float]],
         doc["commit"] = commit
     if note:
         doc["note"] = note
-    key = ("legacy_kernel_events_per_s" if kernel == "legacy"
-           else "kernel_events_per_s")
-    doc[key] = {name: row["events_per_s"]
-                for name, row in kernel_results.items()}
+    doc["kernel_events_per_s"] = {name: row["events_per_s"]
+                                  for name, row in kernel_results.items()}
     with open(path, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
 
 
-def _baseline_rates(rev: str, kernel: str) -> Dict[str, float]:
-    """The recorded rates comparable to a ``kernel`` run of this revision.
-
-    The lane kernel compares against the recorded fast-kernel rates: on
-    single-host microbenches that ratio *is* the lane overhead, and on the
-    multi-host benches the lane win is measured directly instead.
-    """
-    doc = load_baseline(rev)
-    if kernel == "legacy":
-        return doc.get("legacy_kernel_events_per_s", {})
-    return doc.get("kernel_events_per_s", {})
-
-
 # ---------------------------------------------------------------------------
 # Kernel microbenches.  Each returns (events_processed, wall_seconds).
 # ---------------------------------------------------------------------------
 
-def bench_timeout_churn(procs: int = 400, steps: int = 50,
-                        kernel: str = "fast") -> Tuple[int, float]:
-    sim = _untraced_sim(kernel)
+def bench_timeout_churn(procs: int = 400,
+                        steps: int = 50) -> Tuple[int, float]:
+    sim = _untraced_sim()
 
     def worker(i):
         for _ in range(steps):
@@ -157,9 +122,9 @@ def bench_timeout_churn(procs: int = 400, steps: int = 50,
     return procs * steps, elapsed
 
 
-def bench_immediate_resume(procs: int = 200, steps: int = 100,
-                           kernel: str = "fast") -> Tuple[int, float]:
-    sim = _untraced_sim(kernel)
+def bench_immediate_resume(procs: int = 200,
+                           steps: int = 100) -> Tuple[int, float]:
+    sim = _untraced_sim()
     done = sim.event()
     done.succeed("ready")
     sim.run()  # process `done` so every yield hits the resume-immediately path
@@ -176,9 +141,8 @@ def bench_immediate_resume(procs: int = 200, steps: int = 100,
     return procs * steps, elapsed
 
 
-def bench_resource_pingpong(rounds: int = 5000,
-                            kernel: str = "fast") -> Tuple[int, float]:
-    sim = _untraced_sim(kernel)
+def bench_resource_pingpong(rounds: int = 5000) -> Tuple[int, float]:
+    sim = _untraced_sim()
     cpu = Resource(sim, capacity=2)
     store = Store(sim)
 
@@ -201,9 +165,9 @@ def bench_resource_pingpong(rounds: int = 5000,
     return rounds * 2, elapsed
 
 
-def bench_anyof_fanout(rounds: int = 300, fanout: int = 64,
-                       kernel: str = "fast") -> Tuple[int, float]:
-    sim = _untraced_sim(kernel)
+def bench_anyof_fanout(rounds: int = 300,
+                       fanout: int = 64) -> Tuple[int, float]:
+    sim = _untraced_sim()
 
     def waiter():
         for r in range(rounds):
@@ -225,11 +189,10 @@ KERNEL_BENCHES: Dict[str, Callable[..., Tuple[int, float]]] = {
 }
 
 
-def run_kernel_benches(repeats: int = 3,
-                       kernel: str = "fast") -> Dict[str, Dict[str, float]]:
-    """Run every kernel microbench on ``kernel``, best of ``repeats`` runs,
-    annotated with ``speedup_vs_<rev>`` against every recorded baseline."""
-    history = [(rev, _baseline_rates(rev, kernel))
+def run_kernel_benches(repeats: int = 3) -> Dict[str, Dict[str, float]]:
+    """Run every kernel microbench, best of ``repeats`` runs, annotated
+    with ``speedup_vs_<rev>`` against every recorded baseline."""
+    history = [(rev, load_baseline(rev).get("kernel_events_per_s", {}))
                for rev in list_baselines()]
     results: Dict[str, Dict[str, float]] = {}
     for name, fn in KERNEL_BENCHES.items():
@@ -237,7 +200,7 @@ def run_kernel_benches(repeats: int = 3,
         events = 0
         best_elapsed = float("inf")
         for _ in range(repeats):
-            events, elapsed = fn(kernel=kernel)
+            events, elapsed = fn()
             rate = events / elapsed if elapsed > 0 else 0.0
             if rate > best_rate:
                 best_rate = rate
@@ -255,281 +218,15 @@ def run_kernel_benches(repeats: int = 3,
     return results
 
 
-# ---------------------------------------------------------------------------
-# Multi-host benches: the lane kernel's home turf.  Each builds a topology
-# shaped like a real deployment — many hosts, a large standing population of
-# armed timers, and traffic whose heap events cluster per host — and runs
-# the identical workload with lanes off (single fast loop) and lanes on,
-# reporting both rates and the ratio.  The two runs are bit-identical in
-# simulated results (pinned by the determinism suite), so ops/s ratios are
-# pure wall-clock.  Setup is excluded: the timer starts at ``run_until``.
-# ---------------------------------------------------------------------------
-
-class _EchoServer(Server):
-    """RPC target modelling the metadata service's commit pipeline:
-    ``stages`` sequential CPU slices per request (parse, resolve, apply,
-    journal, ack), so a loaded server's lane sees long runs of same-lane
-    heap events between cross-lane hops."""
-
-    def __init__(self, host: Host, work_us: float, stages: int = 1):
-        super().__init__(host)
-        self.stages = stages
-        self.stage_us = work_us / stages
-
-    def rpc_echo(self, payload):
-        for _ in range(self.stages):
-            yield from self.host.work(self.stage_us)
-        return payload
-
-
-def _arm_watchdogs(sim: Simulator, hosts, per_host: int,
-                   horizon_us: float = 1_000_000.0) -> None:
-    """Arm ``per_host`` standing one-shot timers on each host — lease
-    expirations, session timeouts, failure detectors.  They are staggered
-    far past the measured window; their job is to *stand* in the
-    future-event heaps the way a real fleet's timeout wheels do.  That
-    population is exactly the regime where one global heap pays
-    O(log fleet-total) per push and pop while per-host lanes pay
-    O(log local)."""
-    n = 0
-    for host in hosts:
-        lane = host.lane
-        for _ in range(per_host):
-            delay = horizon_us * (1.0 + ((n * 0.61803398875) % 1.0))
-            sim.timeout_into(lane, delay)
-            n += 1
-
-
-def _rpc_run(kernel: str, service_hosts: int, service_cores: int,
-             client_hosts: int, fleet_hosts: int, num_clients: int,
-             rpcs_per_client: int, think_us: float, work_us: float,
-             work_stages: int, timers_per_host: int, timer_period_us: float,
-             watchdogs_per_host: int) -> Tuple[int, float, float]:
-    """mdtest-style closed-loop clients against a hot metadata tier, over a
-    quiescent data-node fleet.  Returns (client ops, wall seconds, final
-    sim.now)."""
-    sim = _untraced_sim(kernel)
-    net = Network(sim, one_way_us=50.0)
-    services = [Host(sim, f"svc{i}", cores=service_cores)
-                for i in range(service_hosts)]
-    clients = [Host(sim, f"cli{i}", cores=8) for i in range(client_hosts)]
-    fleet = [Host(sim, f"node{i}", cores=2) for i in range(fleet_hosts)]
-    servers = [_EchoServer(host, work_us, work_stages) for host in services]
-
-    def control_loop(host, phase):
-        # Staggered phases, as real jittered heartbeats are.
-        yield sim.timeout(phase)
-        while True:
-            yield sim.timeout(timer_period_us)
-
-    all_hosts = services + clients + fleet
-    total = len(all_hosts) * timers_per_host
-    for i in range(total):
-        host = all_hosts[i % len(all_hosts)]
-        phase = timer_period_us * ((i * 0.61803398875) % 1.0)
-        sim.process(control_loop(host, phase), name=f"ctl-{i}",
-                    lane=host.lane)
-    _arm_watchdogs(sim, fleet, watchdogs_per_host)
-    num_servers = len(servers)
-    home_lanes = [host.lane for host in clients]
-
-    def client(cid):
-        # mdtest-style closed-loop rank: barrier start, then back-to-back
-        # RPCs to its home shard, each with a standing per-op deadline
-        # timer (never cancelled — it models the timeout wheel real
-        # clients keep armed, and keeps the pending-event population
-        # realistic).  The deadline is routed to the rank's driver-host
-        # lane so the standing population stays off the hot shard's lane.
-        yield sim.timeout(think_us * ((cid * 0.7548776662) % 1.0))
-        shard = servers[(cid * num_servers) // num_clients]
-        home = home_lanes[cid % len(home_lanes)]
-        for k in range(rpcs_per_client):
-            sim.timeout_into(home, 120_000.0 + cid)  # fires post-run
-            if think_us:
-                yield sim.timeout_into(home, think_us)
-            yield from net.rpc(shard, "echo", k)
-
-    procs = []
-    for cid in range(num_clients):
-        home = clients[cid % len(clients)]
-        procs.append(sim.process(client(cid), name=f"client-{cid}",
-                                 lane=home.lane))
-    done = AllOf(sim, procs)
-    start = time.perf_counter()
-    sim.run_until(done)
-    elapsed = time.perf_counter() - start
-    return num_clients * rpcs_per_client, elapsed, sim.now
-
-
-def _sweep_run(kernel: str, fleet_hosts: int, collector_hosts: int,
-               sweeps_per_host: int, sweep_steps: int, step_us: float,
-               spread_us: float,
-               watchdogs_per_host: int) -> Tuple[int, float, float]:
-    """Fleet-maintenance regime: every node periodically wakes and runs a
-    burst of short local steps (lease-table scan, cache sweep, compaction
-    bookkeeping), then reports to a collector.  Node wake-ups are staggered
-    so bursts barely overlap: the lane kernel rides long same-lane streaks
-    at O(log local) per step while the single loop pays O(log fleet-total)
-    against the standing watchdog population.  Returns (sweeps, wall
-    seconds, final sim.now)."""
-    sim = _untraced_sim(kernel)
-    net = Network(sim, one_way_us=50.0)
-    collectors = [Host(sim, f"col{i}", cores=8)
-                  for i in range(collector_hosts)]
-    coll_servers = [_EchoServer(host, 2.0) for host in collectors]
-    fleet = [Host(sim, f"node{i}", cores=2) for i in range(fleet_hosts)]
-    _arm_watchdogs(sim, fleet, watchdogs_per_host)
-    num_collectors = len(coll_servers)
-
-    def sweeper(idx, _host):
-        phase = spread_us * ((idx * 0.61803398875) % 1.0)
-        yield sim.timeout(phase)
-        for s in range(sweeps_per_host):
-            for _ in range(sweep_steps):
-                yield sim.timeout(step_us)
-            yield from net.rpc(coll_servers[idx % num_collectors],
-                               "echo", idx)
-            if s + 1 < sweeps_per_host:
-                yield sim.timeout(spread_us)
-
-    procs = [sim.process(sweeper(i, host), name=f"sweep-{i}",
-                         lane=host.lane)
-             for i, host in enumerate(fleet)]
-    done = AllOf(sim, procs)
-    start = time.perf_counter()
-    sim.run_until(done)
-    elapsed = time.perf_counter() - start
-    return fleet_hosts * sweeps_per_host, elapsed, sim.now
-
-
-def _compact_run(kernel: str, fleet_hosts: int, watchdogs_per_host: int,
-                 shard_hosts: int, steps_per_shard: int,
-                 step_us: float) -> Tuple[int, float, float]:
-    """Journal-replay / LSM-compaction regime: one metadata shard at a time
-    replays its commit journal — a long run of short, jittered CPU steps on
-    a single host — while a large quiescent data fleet keeps its timeout
-    wheels armed.  Shards take turns (staggered phases), so exactly one
-    lane is hot at any moment: the lane kernel pops from a near-empty lane
-    heap with zero switches, while the single global loop pays
-    O(log fleet-total) per push *and* pop against the standing watchdog
-    population.  Returns (replay steps, wall seconds, final sim.now)."""
-    sim = _untraced_sim(kernel)
-    shards = [Host(sim, f"shard{i}", cores=8) for i in range(shard_hosts)]
-    fleet = [Host(sim, f"node{i}", cores=2) for i in range(fleet_hosts)]
-    _arm_watchdogs(sim, fleet, watchdogs_per_host)
-    phase_us = steps_per_shard * step_us * 1.25
-
-    def compactor(idx, _host):
-        yield sim.timeout(idx * phase_us)
-        for s in range(steps_per_shard):
-            # Jittered step cost (entry sizes vary); mean ~= step_us.
-            yield sim.timeout(step_us * (0.75 + ((s * 0.61803398875) % 0.5)))
-
-    procs = [sim.process(compactor(i, host), name=f"compact-{i}",
-                         lane=host.lane)
-             for i, host in enumerate(shards)]
-    done = AllOf(sim, procs)
-    start = time.perf_counter()
-    sim.run_until(done)
-    elapsed = time.perf_counter() - start
-    return shard_hosts * steps_per_shard, elapsed, sim.now
-
-
-_RUNNERS: Dict[str, Callable[..., Tuple[int, float, float]]] = {
-    "rpc": _rpc_run,
-    "sweep": _sweep_run,
-    "compact": _compact_run,
-}
-
-
-def _run_bench(kernel: str, params: Dict[str, object]
-               ) -> Tuple[int, float, float]:
-    params = dict(params)
-    runner = _RUNNERS[str(params.pop("kind"))]
-    return runner(kernel, **params)
-
-
-#: name -> {kind, topology kwargs}.  ``paper_scale`` mirrors the paper's
-#: motivating hot-directory scenario — mdtest ranks on a driver host
-#: hammering one hot metadata shard (staged commit pipeline, zero think)
-#: while a 1k-node data fleet keeps ~100k armed timers standing in the
-#: heaps.  The lane kernel consolidates the whole op pipeline onto the
-#: shard's lane (small heap, near-zero switches) and leaves the standing
-#: population distributed.  ``fleet_scale`` is the
-#: order-of-magnitude-more-hosts maintenance regime ROADMAP targets
-#: (HopsFS/λFS-scale fleets): staggered per-node housekeeping bursts over
-#: an even larger standing population.  ``compact_scale`` is the shard
-#: journal-replay/compaction regime: one hot lane at a time doing a long
-#: run of short steps, the lane kernel's best case.
-MULTIHOST_BENCHES: Dict[str, Dict[str, object]] = {
-    "paper_scale": dict(kind="rpc", service_hosts=1, service_cores=128,
-                        client_hosts=1, fleet_hosts=1024, num_clients=512,
-                        rpcs_per_client=12, think_us=0.0, work_us=30.0,
-                        work_stages=6, timers_per_host=8,
-                        timer_period_us=250_000.0, watchdogs_per_host=96),
-    "fleet_scale": dict(kind="sweep", fleet_hosts=4096, collector_hosts=16,
-                        sweeps_per_host=1, sweep_steps=64, step_us=1.0,
-                        spread_us=400_000.0, watchdogs_per_host=32),
-    "compact_scale": dict(kind="compact", fleet_hosts=2048,
-                          watchdogs_per_host=64, shard_hosts=4,
-                          steps_per_shard=50_000, step_us=1.0),
-}
-
-
-def run_multihost_benches(repeats: int = 5) -> Dict[str, Dict[str, float]]:
-    """Run each multi-host bench with lanes off and on; the
-    ``lane_speedup`` ratios are the lane kernel's scorecard.
-
-    Each repeat runs the two kernels back to back and records the paired
-    wall ratio; ``lane_speedup`` is the *median* of those ratios, which is
-    robust against the slow load drift of shared/virtualized runners in a
-    way best-of-N (dominated by whichever kernel got the quietest slice)
-    is not."""
-    results: Dict[str, Dict[str, float]] = {}
-    for name, params in MULTIHOST_BENCHES.items():
-        row: Dict[str, float] = {}
-        finals = {}
-        best = {"fast": float("inf"), "lanes": float("inf")}
-        ratios: List[float] = []
-        ops = 0
-        for _ in range(repeats):
-            pair = {}
-            for kernel in ("fast", "lanes"):
-                ops, elapsed, final_now = _run_bench(kernel, params)
-                finals[kernel] = final_now
-                pair[kernel] = elapsed
-                if elapsed < best[kernel]:
-                    best[kernel] = elapsed
-            ratios.append(pair["fast"] / pair["lanes"])
-        # Both kernels must have simulated the same history (cheap sanity
-        # check on top of the determinism suite).
-        if finals["fast"] != finals["lanes"]:
-            raise AssertionError(
-                f"{name}: lane kernel diverged "
-                f"(now {finals['lanes']} != {finals['fast']})")
-        for kernel, prefix in (("fast", "global"), ("lanes", "lanes")):
-            row[prefix + "_wall_s"] = round(best[kernel], 6)
-            row[prefix + "_ops_per_s"] = round(ops / best[kernel], 1)
-        row["ops"] = ops
-        row["final_now_us"] = round(finals["fast"], 3)
-        ratios.sort()
-        row["lane_speedup"] = round(ratios[len(ratios) // 2], 3)
-        results[name] = row
-    return results
-
-
-def _geomean(ratios: List[float]) -> float:
+def geomean_speedup(kernel: Dict[str, Dict[str, float]],
+                    key: str = "speedup_vs_seed") -> float:
+    ratios = [row[key] for row in kernel.values() if key in row]
     if not ratios:
         return 0.0
     product = 1.0
     for ratio in ratios:
         product *= ratio
     return product ** (1.0 / len(ratios))
-
-
-def geomean_speedup(kernel: Dict[str, Dict[str, float]],
-                    key: str = "speedup_vs_seed") -> float:
-    return _geomean([row[key] for row in kernel.values() if key in row])
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +436,6 @@ def main(argv=None) -> int:
                         help="subset of experiment ids for the suite timing")
     parser.add_argument("--repeats", type=int, default=3,
                         help="microbench repetitions (best-of)")
-    parser.add_argument("--kernel", choices=sorted(KERNELS),
-                        default="fast",
-                        help="which kernel the microbenches run on "
-                             "(default: fast)")
     parser.add_argument("--assert-vs", metavar="REV", default=None,
                         help="fail if the kernel geomean drops below the "
                              "floor vs recorded baseline REV (see "
@@ -755,12 +448,6 @@ def main(argv=None) -> int:
     parser.add_argument("--save-baseline", metavar="REV", default=None,
                         help="record this run's kernel rates as baseline "
                              "REV under src/repro/bench/baselines/")
-    parser.add_argument("--skip-multihost", action="store_true",
-                        help="skip the multi-host lane benches")
-    parser.add_argument("--assert-lanes", type=float, default=None,
-                        metavar="RATIO",
-                        help="fail if the multi-host lane-speedup geomean "
-                             "falls below RATIO (e.g. 1.2)")
     parser.add_argument("--skip-overhead", action="store_true",
                         help="skip the traced-vs-untraced workload timing")
     args = parser.parse_args(argv)
@@ -768,9 +455,7 @@ def main(argv=None) -> int:
     report: Dict[str, object] = {
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
-        "kernel_mode": args.kernel,
-        "kernel": run_kernel_benches(repeats=args.repeats,
-                                     kernel=args.kernel),
+        "kernel": run_kernel_benches(repeats=args.repeats),
     }
     for name, row in report["kernel"].items():
         speedup = row.get("speedup_vs_seed")
@@ -790,7 +475,7 @@ def main(argv=None) -> int:
         geo = report.get("kernel_geomean_speedup_vs_" + args.assert_vs)
         if geo is None:
             print(f"FAIL: baseline {args.assert_vs!r} has no "
-                  f"{args.kernel}-kernel rates (recorded: "
+                  f"kernel rates (recorded: "
                   f"{', '.join(list_baselines())})", file=sys.stderr)
             failed = True
         elif geo < floor:
@@ -811,33 +496,8 @@ def main(argv=None) -> int:
         except Exception:
             commit = ""
         path = save_baseline(args.save_baseline, report["kernel"],
-                             commit=commit, kernel=args.kernel)
+                             commit=commit)
         print(f"(recorded baseline {args.save_baseline!r} at {path})")
-
-    if not args.skip_multihost:
-        multihost = run_multihost_benches(repeats=args.repeats)
-        report["multihost"] = multihost
-        for name, row in multihost.items():
-            print(f"multihost/{name:15s} {row['global_ops_per_s']:>10,.0f} "
-                  f"-> {row['lanes_ops_per_s']:>10,.0f} ops/s with lanes "
-                  f"({row['lane_speedup']:.2f}x)")
-        lane_geo = round(_geomean(
-            [row["lane_speedup"] for row in multihost.values()]), 3)
-        report["multihost_geomean_lane_speedup"] = lane_geo
-        print(f"multihost geomean lane speedup: {lane_geo:.2f}x")
-        if args.assert_lanes is not None:
-            if lane_geo < args.assert_lanes:
-                print(f"FAIL: multihost lane-speedup geomean {lane_geo:.3f}x "
-                      f"is below the {args.assert_lanes:.2f}x target",
-                      file=sys.stderr)
-                failed = True
-            else:
-                print(f"assert-lanes OK: {lane_geo:.3f}x >= "
-                      f"{args.assert_lanes:.2f}x")
-    elif args.assert_lanes is not None:
-        print("FAIL: --assert-lanes needs the multi-host benches "
-              "(drop --skip-multihost)", file=sys.stderr)
-        failed = True
 
     if not args.skip_overhead:
         overhead = measure_tracing_overhead()

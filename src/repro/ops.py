@@ -1,18 +1,16 @@
 """Typed metadata operations — the registry behind ``perform()``.
 
-Historically every operation travelled through the stringly-typed
-``MetadataSystem.submit(op, *args)`` entry point.  The typed surface keeps
-the same nine mdtest operations (§6.3) but represents each as a small frozen
-dataclass, so call sites get named fields, ``isinstance`` dispatch and IDE
-help instead of positional-tuple conventions::
+The nine mdtest operations (§6.3) are each a small frozen dataclass, so
+call sites get named fields, ``isinstance`` dispatch and IDE help instead
+of positional-tuple conventions::
 
     from repro.ops import Mkdir, Rename
 
     yield from system.perform(Mkdir("/a/b"), ctx=ctx)
     yield from system.perform(Rename("/a/b", "/c/b"), ctx=ctx)
 
-``submit`` remains as a deprecation shim that builds the typed op via
-:func:`make_op` and forwards to ``perform``.
+:func:`make_op` builds the typed op from a ``(name, *args)`` tuple, for
+callers (trace replay, scenario tables) that carry operation names as data.
 """
 
 from __future__ import annotations
@@ -170,8 +168,7 @@ OP_NAMES: Tuple[str, ...] = tuple(OP_TYPES)
 def make_op(name: str, *args) -> Op:
     """Build the typed op for a legacy ``(name, *args)`` call.
 
-    Raises ``ValueError`` for unknown operation names — the same contract
-    the stringly ``submit`` entry point always had.
+    Raises ``ValueError`` for unknown operation names.
     """
     op_type = OP_TYPES.get(name)
     if op_type is None:

@@ -68,29 +68,25 @@ class RaftGroup:
                          name=f"raft-msg-{from_id}-{to_id}")
 
     def _deliver(self, to_id: int, message):
-        # Cross-lane edge: land the flight on the destination replica's
-        # lane so mailbox processing batches with that host's events.
-        # (Membership can change mid-flight; the drop check below re-looks
-        # the target up at arrival time.)
-        target = self.nodes.get(to_id)
-        lane = (target.host.lane
-                if self.sim._lane_mode and target is not None else None)
         tracer = self.sim.tracer
         if tracer.enabled:
             # Attribute the flight to the destination replica's host so
             # replication traffic shows up against the IndexNode servers
             # in cost-center and critical-path views (an undelivered
             # message to a stopped node keeps the host label: the wire
-            # time was spent regardless).
+            # time was spent regardless).  Membership can change
+            # mid-flight; the drop check below re-looks the target up at
+            # arrival time.
+            target = self.nodes.get(to_id)
             host = target.host.name if target is not None else None
             span = tracer.begin("raft.msg:" + type(message).__name__,
                                 self.sim.now, category="raft", host=host)
             sent_us = self.sim._now
-            yield from self.network.transit(lane)
+            yield from self.network.transit()
             tracer.charge("wire", self.sim._now - sent_us, host)
         else:
             span = None
-            yield from self.network.transit(lane)
+            yield from self.network.transit()
         target = self.nodes.get(to_id)
         dropped = target is None or target._stopped or target.host.crashed
         if span is not None:

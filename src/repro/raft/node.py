@@ -138,10 +138,8 @@ class RaftNode:
         self.entries_flushed = 0
         self.elections_started = 0
         self.applied_count = 0
-        # The node's event loop is host-local work: pin it to the host's
-        # scheduler lane under the lane-sharded kernel.
         self._proc = self.sim.process(self._main_loop(),
-                                      name=f"raft-{node_id}", lane=host.lane)
+                                      name=f"raft-{node_id}")
 
     # -- public API ----------------------------------------------------------
 
@@ -697,22 +695,18 @@ class RaftNode:
 
     def _query_commit_index(self, leader: "RaftNode"):
         """One batched commitIndex query: an RTT to the leader."""
-        if self.sim._lane_mode:
-            there, back = leader.host.lane, self.host.lane
-        else:
-            there = back = None
         tracer = self.sim.tracer
         if tracer.enabled:
             span = tracer.begin("raft.readindex", self.sim.now,
                                 category="raft", host=self.host.name)
             sent_us = self.sim._now
-            yield from self.group.network.transit(there)
+            yield from self.group.network.transit()
             target = leader.commit_index
-            yield from self.group.network.transit(back)
+            yield from self.group.network.transit()
             tracer.charge("wire", self.sim._now - sent_us, self.host.name)
             tracer.end(span, self.sim.now)
         else:
-            yield from self.group.network.transit(there)
+            yield from self.group.network.transit()
             target = leader.commit_index
-            yield from self.group.network.transit(back)
+            yield from self.group.network.transit()
         return target

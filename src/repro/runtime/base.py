@@ -16,8 +16,8 @@ driving it:
 
 * under :class:`SimRuntime` the methods delegate to the original simulator
   primitives, so the kernel sees the exact event sequence it always saw —
-  simulated results are bit-identical to the pre-seam code (the fastpath /
-  lane determinism suites gate this);
+  simulated results are bit-identical to the pre-seam code (the golden
+  values in the determinism suites gate this);
 * under :class:`~repro.runtime.aio.AsyncioRuntime` the methods yield small
   effect objects that an ``async`` trampoline translates into real TCP
   round trips, ``asyncio.sleep`` and thread-offloaded ``fsync``.

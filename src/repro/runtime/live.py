@@ -117,7 +117,6 @@ class LiveHost:
         self.sim = sim
         self.name = name
         self.crashed = False
-        self.lane = None
         self.fsyncs = 0
         self._wal_path = None
         self._wal = None

@@ -12,37 +12,18 @@ Time is a float in simulated microseconds.
 
 Scheduling uses two tiers.  Delayed events go through a binary heap keyed by
 ``(time, seq)``.  Zero-delay events — event triggers, process completions,
-resource grants — go through a FIFO *microtask* deque instead, skipping the
-heap entirely.  The total order is identical to running everything through
-the heap: a heap entry at the current timestamp was necessarily pushed at an
-earlier simulated time (a push at the current time lands in the deque), so
-it carries a smaller sequence number than anything in the deque, and deque
-entries preserve FIFO order among themselves.  The event loop therefore
-drains heap entries at the current time first, then the deque, then advances
-the clock.  ``Simulator(fast_paths=False)`` (or ``MANTLE_SIM_FAST=0`` in the
-environment) disables the deque and the deferred-resume microtasks, pushing
-every event through the heap as the original kernel did — the two modes must
-produce bit-identical simulated results, which ``tests/experiments/
-test_fastpath_determinism.py`` enforces.
-
-The third mode is the *lane-sharded* kernel (``Simulator(lanes=...)`` /
-``MANTLE_SIM_LANES``): every :class:`repro.sim.host.Host` gets its own lane —
-a private future-event heap — while zero-delay work keeps flowing through
-the one global microtask deque, byte-for-byte the fast-mode hot paths.
-Delayed events land on the lane where they will fire: a host's CPU/fsync
-completions and timers stay on that host's heap, and the only cross-lane
-edges (``Network.transit`` / Raft ``_deliver``) target the destination
-host's lane, arriving at least one one-way latency in the future — the
-conservative lookahead that keeps each lane's heap small and self-contained.
-The run loop executes due heap entries in the globally minimal ``(time,
-seq)`` order (one shared counter, exactly the keys fast mode assigns), then
-drains the deque, then advances the clock — the same total order as the
-single-loop kernels, so every simulated result, RNG draw, span and metric
-is bit-identical by construction.  What lanes buy is O(log local) instead
-of O(log total) per heap operation, plus a sticky current-lane fast path
-when consecutive events belong to one host; lane placement is purely a
-performance heuristic, and a mis-routed event cannot change results.  See
-docs/performance.md.
+resource grants, and timeouts whose delay rounds away against the current
+clock — go through a FIFO *microtask* deque instead, skipping the heap
+entirely.  The ordering invariant: events run in ``(time, seq)`` order, as
+if every event went through the heap.  It holds because a heap entry at the
+current timestamp was necessarily pushed at an earlier simulated time (a
+push at the current time lands in the deque), so it carries a smaller
+sequence number than anything in the deque, and deque entries preserve FIFO
+order among themselves.  The event loop therefore drains heap entries at
+the current time first, then the deque, then advances the clock.  Golden
+values of simulated results (``tests/experiments/
+test_fastpath_determinism.py``, ``tests/sim/test_kernel_stress.py`` and the
+export digests in the observability suites) pin that order.
 """
 
 from __future__ import annotations
@@ -58,32 +39,6 @@ import repro.sim.trace as trace_module
 import repro.sim.telemetry as telemetry_module
 
 _PENDING = object()
-
-
-def _fast_paths_default() -> bool:
-    """Fast paths are on unless ``MANTLE_SIM_FAST`` disables them."""
-    return os.environ.get("MANTLE_SIM_FAST", "1").lower() not in (
-        "0", "false", "off", "no")
-
-
-def _lanes_default() -> int:
-    """Lane count requested via ``MANTLE_SIM_LANES``.
-
-    ``0`` (the default) keeps the single-loop kernels; ``1``/``true``/
-    ``auto`` gives every host its own lane; an integer ``N >= 2`` caps host
-    lanes at ``N`` (round-robin beyond that).  Returns ``-1`` for "per-host,
-    uncapped".
-    """
-    raw = os.environ.get("MANTLE_SIM_LANES", "0").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return 0
-    if raw in ("1", "true", "on", "yes", "auto"):
-        return -1
-    try:
-        value = int(raw)
-    except ValueError:
-        return -1
-    return value if value > 1 else -1
 
 
 def _tracing_default() -> bool:
@@ -151,12 +106,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        sim = self.sim
-        if sim._fast:
-            sim._micro.append(self)
-        else:
-            sim._seq += 1
-            _heappush(sim._queue, (sim._now, sim._seq, self))
+        self.sim._micro.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -166,12 +116,7 @@ class Event:
             raise SimulationError("fail() needs an exception instance")
         self._ok = False
         self._value = exception
-        sim = self.sim
-        if sim._fast:
-            sim._micro.append(self)
-        else:
-            sim._seq += 1
-            _heappush(sim._queue, (sim._now, sim._seq, self))
+        self.sim._micro.append(self)
         return self
 
     def defused(self) -> "Event":
@@ -197,7 +142,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         when = sim._now + delay
-        if when == sim._now and sim._fast:
+        if when == sim._now:
             sim._micro.append(self)
         else:
             sim._seq += 1
@@ -218,19 +163,6 @@ class _Bootstrap:
 
 
 _INIT = _Bootstrap()
-
-#: Lane-index band split (lane kernel only).  A lane whose head is more than
-#: this many microseconds in the future is indexed in the *cold* band —
-#: standing watchdogs, op deadlines, heartbeat timers — which lane switches
-#: never sift through.  The *active* band stays at roughly one entry per
-#: lane with near-future work, so the per-switch heap ops are O(log active
-#: lanes) instead of O(log all lanes).  The split is a placement heuristic
-#: only: both bands are verified on pop and the run loop always takes the
-#: minimum over both tops, so the value affects wall-clock, never results.
-_COLD_US = 1000.0
-
-_INF = float("inf")
-
 
 class Process(Event):
     """Wraps a generator and drives it; the process *is* an event that
@@ -254,12 +186,7 @@ class Process(Event):
         self._cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current simulation time.
-        if sim._fast:
-            sim._micro.append((self._cb, _INIT))
-        else:
-            bootstrap = Event(sim)
-            bootstrap.callbacks.append(self._cb)
-            bootstrap.succeed()
+        sim._micro.append((self._cb, _INIT))
 
     @property
     def is_alive(self) -> bool:
@@ -274,47 +201,7 @@ class Process(Event):
         ev._value = Interrupt(cause)
         ev._defused = True
         ev.callbacks.append(self._cb)
-        self.sim._enqueue(ev)
-
-    def _lane_bootstrap(self, lane: int) -> None:
-        """First resume of a lane-pinned process (lane kernel only).
-
-        Placement-only: the bootstrap stays at its FIFO position in the
-        global microtask deque, but runs with the hinted lane bound as
-        current so the body's initial delayed pushes (its standing timers,
-        its first think/poll timeout) land on its home lane instead of
-        whichever lane happened to be executing.  The previous binding is
-        restored before returning so the run loop's cached locals stay
-        valid, and a changed lane head is surfaced to the lane index —
-        plain ``timeout()`` pushes don't register there themselves.
-        """
-        sim = self.sim
-        heap = sim._lheaps[lane]
-        before = heap[0] if heap else None
-        prev_lane = sim._current_lane
-        prev_queue = sim._queue
-        sim._current_lane = lane
-        sim._queue = heap
-        try:
-            self._resume(_INIT)
-        finally:
-            sim._current_lane = prev_lane
-            sim._queue = prev_queue
-            # Register the changed head only for a *non-current* lane: the
-            # run loop compares the current lane's head directly, and a
-            # self-candidate would force it through the slow path on every
-            # subsequent pop.
-            if heap and lane != prev_lane:
-                head = heap[0]
-                if head is not before:
-                    if head[0] > sim._now + _COLD_US:
-                        _heappush(sim._rcold, (head[0], head[1], lane))
-                    else:
-                        _heappush(sim._runnable, (head[0], head[1], lane))
-                    sim._rlive[lane] = head[1]
-                    if head[0] < sim._rbound0:
-                        sim._rbound0 = head[0]
-                        sim._rbound1 = head[1]
+        self.sim._micro.append(ev)
 
     def _resume(self, trigger: Event) -> None:
         if self._value is not _PENDING:
@@ -370,22 +257,11 @@ class Process(Event):
         self._waiting_on = target
         cbs = target.callbacks
         if cbs is None:
-            # Already processed: resume at the same timestamp.  The fast path
-            # queues a deferred callback instead of allocating a fresh
-            # wrapper Event and round-tripping it through the heap.
-            if sim._fast:
-                if not target._ok:
-                    target._defused = True
-                sim._micro.append((self._cb, target))
-            else:
-                ev = Event(sim)
-                ev._ok = target._ok
-                ev._value = target._value
-                if not target._ok:
-                    target._defused = True
-                    ev._defused = True
-                ev.callbacks.append(self._cb)
-                sim._enqueue(ev)
+            # Already processed: resume at the same timestamp through a
+            # deferred callback on the microtask deque.
+            if not target._ok:
+                target._defused = True
+            sim._micro.append((self._cb, target))
             self._waiting_index = -1
         else:
             self._waiting_index = len(cbs)
@@ -394,12 +270,7 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
-        sim = self.sim
-        if sim._fast:
-            sim._micro.append(self)
-        else:
-            sim._seq += 1
-            _heappush(sim._queue, (sim._now, sim._seq, self))
+        self.sim._micro.append(self)
 
 
 class _Condition(Event):
@@ -482,69 +353,16 @@ class Simulator:
     >>> sim.run()
     >>> proc.value
     5.0
-
-    ``fast_paths=False`` (or ``MANTLE_SIM_FAST=0``) routes every event
-    through the legacy all-heap scheduler; simulated results are identical
-    either way, only wall-clock differs.
-
-    ``lanes`` selects the lane-sharded kernel (``MANTLE_SIM_LANES`` in the
-    environment): ``True``/``"auto"``/``1`` gives every registered host its
-    own scheduler lane, an integer ``N >= 2`` caps host lanes at ``N``, and
-    ``0``/``False`` (default) keeps a single loop.  Lane mode implies the
-    two-tier fast scheduler and is bit-identical to both single-loop modes.
     """
 
-    def __init__(self, fast_paths: Optional[bool] = None, tracer=None,
-                 telemetry=None, lanes: Optional[Any] = None):
-        if lanes is None:
-            lanes = _lanes_default()
-        elif lanes is True or lanes == 1:
-            lanes = -1
-        elif lanes is False:
-            lanes = 0
-        else:
-            lanes = int(lanes)
-        self._lane_mode = lanes != 0
-        self._lane_cap = lanes if lanes > 1 else None
-        if fast_paths is None:
-            fast_paths = _fast_paths_default()
-        # Lanes are built on the two-tier scheduler; they override
-        # fast_paths=False (the A/B axis for lanes is lanes on/off).
-        self._fast = bool(fast_paths) or self._lane_mode
+    def __init__(self, tracer=None, telemetry=None):
         self._now = 0.0
         self._seq = 0
-        # ``_queue`` is where delayed pushes land and ``_micro`` is the
-        # global zero-delay deque — in every mode.  Lane mode shards the
-        # heap per host and re-aliases ``_queue`` to the currently executing
-        # lane's heap, so every hot-path push site runs unchanged.
+        # Delayed events: a heap of ``(time, seq, event)``.
         self._queue: List = []
+        # Zero-delay events: the FIFO microtask deque.  Entries are events
+        # or ``(callback, argument)`` pairs.
         self._micro: collections.deque = collections.deque()
-        if self._lane_mode:
-            # Lane 0 is the driver lane: workload generators, bare
-            # Simulator scripts and anything not pinned to a host run here.
-            self._lheaps: List[List] = [self._queue]
-            self._host_lanes: dict = {}
-            self._lane_rr = 0
-            self._current_lane = 0
-            # Lane index, two bands: near-future lane heads (``_runnable``)
-            # and far-future ones (``_rcold``); see ``_COLD_US``.
-            self._runnable: List = []
-            self._rcold: List = []
-            # Per-lane seq of the lane's *live* band candidate (0 = none).
-            # Registrations supersede rather than remove: a band entry
-            # whose seq no longer matches is garbage and is dropped on
-            # sight by the run loop, so each lane keeps at most one live
-            # candidate no matter how often its head improves.
-            self._rlive: List[int] = [0]
-            # Cached index minimum (time, seq) as two scalars, so the run
-            # loop's sticky path costs one float compare instead of a
-            # band-top scan.  Registrations only ever lower it; the run
-            # loop recomputes it exactly whenever it touches the bands.
-            self._rbound0 = _INF
-            self._rbound1 = 0
-            #: Number of lane switches the run loop performed; the
-            #: events-per-switch ratio is the lane kernel's health metric.
-            self.lane_switches = 0
         self._active_process: Optional[Process] = None
         if tracer is None:
             tracer = (trace_module.Tracer() if _tracing_default()
@@ -593,89 +411,6 @@ class Simulator:
             runtime = self._runtime = SimRuntime(self)
         return runtime
 
-    # -- lanes -------------------------------------------------------------
-
-    @property
-    def lane_count(self) -> int:
-        """Number of scheduler lanes (1 when lane mode is off)."""
-        return len(self._lheaps) if self._lane_mode else 1
-
-    def host_lane(self, name: str) -> int:
-        """Scheduler lane for host ``name`` (0 when lane mode is off).
-
-        Each new host name gets a fresh lane; past the configured cap, hosts
-        round-robin over the existing host lanes.  Lane 0 is reserved for
-        the driver (unpinned processes).
-        """
-        if not self._lane_mode:
-            return 0
-        lane = self._host_lanes.get(name)
-        if lane is None:
-            cap = self._lane_cap
-            if cap is not None and len(self._lheaps) > cap:
-                lane = 1 + self._lane_rr % cap
-                self._lane_rr += 1
-            else:
-                lane = len(self._lheaps)
-                self._lheaps.append([])
-                self._rlive.append(0)
-            self._host_lanes[name] = lane
-        return lane
-
-    def timeout_into(self, lane: int, delay: float,
-                     value: Any = None) -> Timeout:
-        """Like :meth:`timeout`, but the event fires in ``lane``.
-
-        This is the cross-lane edge: network flights and Raft deliveries
-        land on the destination host's lane, so the arrival — and the whole
-        zero-delay chain it kicks off — executes as that host's work.  The
-        entry is keyed by the shared ``(time, seq)`` counter like any other
-        push, so routing never changes the execution order, only which heap
-        the event waits in.  A zero-delay (or fully rounded-away) flight is
-        lane-agnostic and goes through the global microtask deque exactly
-        as :meth:`timeout` would.  Falls back to :meth:`timeout` for the
-        current lane and in single-loop modes.
-        """
-        if not self._lane_mode or lane == self._current_lane:
-            return self.timeout(delay, value)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        t = Timeout.__new__(Timeout)
-        t.sim = self
-        t.callbacks = []
-        t._ok = True
-        t._value = value
-        t._defused = False
-        t.delay = delay
-        now = self._now
-        when = now + delay
-        if when == now:
-            self._micro.append(t)
-            return t
-        heap = self._lheaps[lane]
-        # A push that becomes the target lane's new head must be surfaced to
-        # the run loop's lane index.  ``seq`` is the largest key component,
-        # so that can only happen on strictly earlier time.  Near-future
-        # heads (in-flight traffic) go to the active band; far-future ones
-        # (armed watchdogs, deadlines) to the cold band switches never sift.
-        improved = not heap or when < heap[0][0]
-        self._seq = seq = self._seq + 1
-        _heappush(heap, (when, seq, t))
-        if improved:
-            if when > now + _COLD_US:
-                _heappush(self._rcold, (when, seq, lane))
-            else:
-                _heappush(self._runnable, (when, seq, lane))
-            # This candidate supersedes any previous one for the lane (the
-            # old band entry becomes garbage the run loop drops on sight).
-            self._rlive[lane] = seq
-            # ``seq`` is globally monotonic, so a new candidate beats the
-            # cached index bound only on strictly earlier time.
-            if when < self._rbound0:
-                self._rbound0 = when
-                self._rbound1 = seq
-        return t
-
     # -- event factories --------------------------------------------------
 
     def event(self) -> Event:
@@ -696,38 +431,16 @@ class Simulator:
         t.delay = delay
         now = self._now
         when = now + delay
-        if when == now and self._fast:
+        if when == now:
             self._micro.append(t)
         else:
             self._seq += 1
             _heappush(self._queue, (when, self._seq, t))
         return t
 
-    def process(self, generator: Generator, name: str = "",
-                lane: Optional[int] = None) -> Process:
-        """Spawn ``generator`` as a :class:`Process`.
-
-        ``lane`` is a placement hint, accepted (and ignored) in every mode.
-        Under the lane kernel it decides where the process *starts*: the
-        bootstrap resume runs with that lane current, so the body's first
-        delayed pushes — a control loop's standing timer, a client's think
-        sleep — land on its home lane rather than whichever lane spawned
-        it.  After that, affinity follows the event flow on its own: a
-        process resumed by a heap event executes on that event's lane, so
-        an RPC handler's work follows the request from client lane to
-        server lane and back without any hints.  Placement never affects
-        ordering — the bootstrap keeps its FIFO slot in the global
-        microtask deque either way.
-        """
-        proc = Process(self, generator, name)
-        if (lane is not None and self._lane_mode
-                and lane != self._current_lane
-                and 0 <= lane < len(self._lheaps)):
-            # Swap the just-appended plain bootstrap for the lane-binding
-            # one.  Same deque position, same dispatch shape (callable,
-            # arg): ordering is untouched.
-            self._micro[-1] = (proc._lane_bootstrap, lane)
-        return proc
+    def process(self, generator: Generator, name: str = "") -> Process:
+        """Spawn ``generator`` as a :class:`Process`."""
+        return Process(self, generator, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -737,346 +450,20 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        when = self._now + delay
-        if when == self._now and self._fast:
-            self._micro.append(event)
-        else:
-            self._seq += 1
-            _heappush(self._queue, (when, self._seq, event))
-
-    def _dispatch(self, event: Event) -> None:
-        """Deliver one processed event to its callbacks.
-
-        A failed event nobody handled (no live callbacks — tombstones don't
-        count) surfaces its error loudly instead of silently dropping a
-        crashed process.
-        """
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                if callback is not None:
-                    callback(event)
-        if not event._ok and not event._defused:
-            if not callbacks or all(cb is None for cb in callbacks):
-                raise event._value
-
-    def _step(self) -> None:
-        """Process exactly one queue entry (tests and tools; the run loops
-        inline this logic)."""
-        if self._lane_mode:
-            self._lane_step()
-            return
-        queue = self._queue
-        micro = self._micro
-        if queue and queue[0][0] <= self._now:
-            self._dispatch(heapq.heappop(queue)[2])
-        elif micro:
-            entry = micro.popleft()
-            if type(entry) is tuple:
-                entry[0](entry[1])
-            else:
-                self._dispatch(entry)
-        elif queue:
-            when, _seq, event = heapq.heappop(queue)
-            self._now = when
-            self._dispatch(event)
-
-    def _lane_step(self) -> None:
-        """Lane-mode single step: same semantics as :meth:`_step` with the
-        heap tier sharded — due heap entries across all lanes in ``(time,
-        seq)`` order, then the microtask deque, then advance the clock."""
-        best = None
-        best_lane = -1
-        for lane, heap in enumerate(self._lheaps):
-            if heap and (best is None or heap[0] < best):
-                best = heap[0]
-                best_lane = lane
-        if best is not None and best[0] <= self._now:
-            self._current_lane = best_lane
-            self._queue = self._lheaps[best_lane]
-            self._dispatch(heapq.heappop(self._queue)[2])
-            return
-        micro = self._micro
-        if micro:
-            entry = micro.popleft()
-            if type(entry) is tuple:
-                entry[0](entry[1])
-            else:
-                self._dispatch(entry)
-            return
-        if best is not None:
-            self._now = best[0]
-            self._current_lane = best_lane
-            self._queue = self._lheaps[best_lane]
-            self._dispatch(heapq.heappop(self._queue)[2])
-
-    def _lane_run(self, limit: Optional[float],
-                  stop_event: Optional[Event]) -> None:
-        """Lane-mode event loop behind :meth:`run` and :meth:`run_until`.
-
-        The loop order is exactly the single-loop fast kernel's — due heap
-        entries first (globally minimal ``(time, seq)`` across all lanes),
-        then the microtask deque, then advance the clock — with the one big
-        heap replaced by per-lane heaps plus a *lane index* of ``(time,
-        seq, lane)`` head candidates, split into two bands: near-future
-        heads in ``_runnable``, far-future heads (armed watchdogs, op
-        deadlines — the standing population) in ``_rcold``.  The current
-        lane's head is kept out of the index and compared directly, so
-        consecutive events on one host cost only O(log local-heap) with no
-        index traffic; a lane switch sifts only the small active band, and
-        the cold band is consulted through its top alone until a standing
-        timer actually comes due.  Index candidates may be stale —
-        verify-on-pop replaces them with the lane's true head.  An entry is
-        only executed once its key is proven globally minimal, so results
-        are bit-identical to the single-loop kernels.
-        """
-        lheaps = self._lheaps
-        micro = self._micro
-        runnable = self._runnable
-        rcold = self._rcold
-        del runnable[:]
-        del rcold[:]
-        cur = self._current_lane
-        cold_after = self._now + _COLD_US
-        rlive = self._rlive = [0] * len(lheaps)
-        for lane, heap in enumerate(lheaps):
-            if heap and lane != cur:
-                h = heap[0]
-                if h[0] > cold_after:
-                    rcold.append((h[0], h[1], lane))
-                else:
-                    runnable.append((h[0], h[1], lane))
-                rlive[lane] = h[1]
-        heapq.heapify(runnable)
-        heapq.heapify(rcold)
-        # Prime the cached index bound (== min candidate key over both
-        # bands, +inf when empty).  Registrations keep it exact by only
-        # ever lowering it in lockstep with a band push; the loop restores
-        # exactness whenever it pops or re-files a candidate.
-        if runnable:
-            rb = runnable[0]
-            if rcold and rcold[0] < rb:
-                rb = rcold[0]
-        elif rcold:
-            rb = rcold[0]
-        else:
-            rb = None
-        if rb is None:
-            self._rbound0 = _INF
-        else:
-            self._rbound0 = rb[0]
-            self._rbound1 = rb[1]
-        heappop = heapq.heappop
-        heappush = _heappush
-        heapreplace = heapq.heapreplace
-        pending = _PENDING
-        now = self._now
-        cheap = lheaps[cur]
-        self._queue = cheap
-
-        def drain_micro() -> bool:
-            """Run every queued microtask; True means the stop event fired.
-
-            Safe to drain without rechecking the heaps: while the clock is
-            parked, nothing can push a heap entry at the current time (a
-            push at ``now`` lands in this very deque), so no heap entry can
-            become due mid-drain.
-            """
-            while micro:
-                entry = micro.popleft()
-                if type(entry) is tuple:
-                    entry[0](entry[1])
-                else:
-                    callbacks = entry.callbacks
-                    entry.callbacks = None
-                    if callbacks:
-                        for callback in callbacks:
-                            if callback is not None:
-                                callback(entry)
-                    if not entry._ok and not entry._defused:
-                        if not callbacks or all(
-                                cb is None for cb in callbacks):
-                            raise entry._value
-                if stop_event is not None and stop_event._value is not pending:
-                    return True
-            return False
-
-        while True:
-            if stop_event is not None and stop_event._value is not pending:
-                return
-            # -- pick the next heap entry in global (time, seq) order ------
-            # Sticky fast path: one scalar compare against the cached index
-            # bound.  The bound equals the minimum candidate key over both
-            # bands, and a candidate can only under-estimate another lane's
-            # true head, so "current head < bound" is a safe proof that the
-            # current lane holds the global min.
-            use_cur = False
-            if cheap:
-                h = cheap[0]
-                h0 = h[0]
-                b0 = self._rbound0
-                use_cur = h0 < b0 or (h0 == b0 and h[1] < self._rbound1)
-            if use_cur:
-                if h0 > now:
-                    if micro:
-                        if drain_micro():
-                            return
-                        continue
-                    if limit is not None and h0 > limit:
-                        self._now = limit
-                        return
-                    now = self._now = h0
-                event = heappop(cheap)[2]
-            else:
-                # Slow path: consult the bands.  The candidate is the
-                # smaller of the two band tops.
-                if runnable:
-                    r = runnable[0]
-                    if rcold and rcold[0] < r:
-                        r = rcold[0]
-                        rq = rcold
-                    else:
-                        rq = runnable
-                elif rcold:
-                    r = rcold[0]
-                    rq = rcold
-                else:
-                    r = None
-                if r is None:
-                    # Empty bands mean an infinite bound, so the current
-                    # lane must be empty too: drain microtasks or stop.
-                    if micro:
-                        if drain_micro():
-                            return
-                        continue
-                    break
-                r0, r1, rl = r
-                if rlive[rl] != r1:
-                    # Superseded candidate: a newer registration for this
-                    # lane took over (an improving cross-lane push, or the
-                    # filing on a later switch).  Garbage — drop it; the
-                    # live candidate is elsewhere in the bands.
-                    heappop(rq)
-                    if runnable:
-                        rb = runnable[0]
-                        if rcold and rcold[0] < rb:
-                            rb = rcold[0]
-                    elif rcold:
-                        rb = rcold[0]
-                    else:
-                        rb = None
-                    if rb is None:
-                        self._rbound0 = _INF
-                    else:
-                        self._rbound0 = rb[0]
-                        self._rbound1 = rb[1]
-                    continue
-                rheap = lheaps[rl]
-                if rheap:
-                    rh = rheap[0]
-                    stale = rh[0] != r0 or rh[1] != r1
-                else:
-                    rh = None
-                    stale = True
-                if stale:
-                    # Stale *live* candidate (defensive — registrations
-                    # keep the live candidate equal to the lane's true
-                    # head, but a duplicate-seq refile can leave one
-                    # behind).  Re-file the true head into its band.
-                    if rh is None:
-                        heappop(rq)
-                        rlive[rl] = 0
-                    else:
-                        target = (rcold if rh[0] > now + _COLD_US
-                                  else runnable)
-                        if target is rq:
-                            heapreplace(rq, (rh[0], rh[1], rl))
-                        else:
-                            heappop(rq)
-                            heappush(target, (rh[0], rh[1], rl))
-                        rlive[rl] = rh[1]
-                    if runnable:
-                        rb = runnable[0]
-                        if rcold and rcold[0] < rb:
-                            rb = rcold[0]
-                    elif rcold:
-                        rb = rcold[0]
-                    else:
-                        rb = None
-                    if rb is None:
-                        self._rbound0 = _INF
-                    else:
-                        self._rbound0 = rb[0]
-                        self._rbound1 = rb[1]
-                    continue
-                # Verified: lane ``rl`` holds the globally minimal entry.
-                if r0 > now:
-                    if micro:
-                        if drain_micro():
-                            return
-                        continue
-                    if limit is not None and r0 > limit:
-                        self._now = limit
-                        return
-                    now = self._now = r0
-                # Switch lanes: file the old head into its band (usually a
-                # single-sift swap into the slot the new lane vacates),
-                # adopt the lane, pop its head.
-                rlive[rl] = 0
-                if cheap:
-                    ch = cheap[0]
-                    target = rcold if ch[0] > now + _COLD_US else runnable
-                    if target is rq:
-                        heapreplace(rq, (ch[0], ch[1], cur))
-                    else:
-                        heappop(rq)
-                        heappush(target, (ch[0], ch[1], cur))
-                    rlive[cur] = ch[1]
-                else:
-                    heappop(rq)
-                if runnable:
-                    rb = runnable[0]
-                    if rcold and rcold[0] < rb:
-                        rb = rcold[0]
-                elif rcold:
-                    rb = rcold[0]
-                else:
-                    rb = None
-                if rb is None:
-                    self._rbound0 = _INF
-                else:
-                    self._rbound0 = rb[0]
-                    self._rbound1 = rb[1]
-                cur = rl
-                cheap = rheap
-                self._current_lane = cur
-                self._queue = cheap
-                self.lane_switches += 1
-                event = heappop(cheap)[2]
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    if callback is not None:
-                        callback(event)
-            if not event._ok and not event._defused:
-                if not callbacks or all(cb is None for cb in callbacks):
-                    raise event._value
-        if limit is not None and limit > now:
-            self._now = limit
-
     def run(self, until: Optional[float] = None) -> None:
-        """Process events until the queue drains or ``until`` is reached."""
-        if self._lane_mode:
-            self._lane_run(None if until is None else float(until), None)
-            return
+        """Process events until the queue drains or ``until`` is reached.
+
+        ``until`` may equal the current time (drain the events due now) but
+        must not lie in the past: the clock never runs backwards.
+        """
         queue = self._queue
         micro = self._micro
         heappop = heapq.heappop
         limit = None if until is None else float(until)
         now = self._now
+        if limit is not None and limit < now:
+            raise SimulationError(
+                f"run(until={limit}) is before the current time {now}")
         while True:
             # Heap entries at the current time predate (carry smaller seq
             # than) anything in the microtask deque, so they go first.
@@ -1118,9 +505,6 @@ class Simulator:
         perpetual background processes (compactors, Raft heartbeats) keep
         the queue non-empty.
         """
-        if self._lane_mode:
-            self._lane_run(None, event)
-            return
         queue = self._queue
         micro = self._micro
         heappop = heapq.heappop

@@ -167,10 +167,6 @@ class Host:
                  fsync_us: float = 120.0):
         self.sim = sim
         self.name = name
-        # Scheduler lane for the lane-sharded kernel (0 in single-loop
-        # modes): host-local events — CPU, fsync, grants, timers — batch on
-        # this lane; only network flights cross lanes.
-        self.lane = sim.host_lane(name)
         self.cores = cores
         self.cpu = Resource(sim, cores, label="cpu", host=name)
         self.disk = Resource(sim, 1, label="disk", host=name)

@@ -36,26 +36,15 @@ class Network:
         spread = self.one_way_us * self.jitter_frac
         return max(1.0, self.one_way_us + self._rng.uniform(-spread, spread))
 
-    def transit(self, lane: int = None):
-        """One-way message flight.
-
-        ``lane`` lands the arrival on the given scheduler lane (the
-        destination host's, under the lane-sharded kernel).  The flight is
-        the only point where an event crosses hosts, and its latency — at
-        least 1us even under jitter — is the lane kernel's lookahead: a
-        lane can safely batch that far ahead of its peers.
-        """
+    def transit(self):
+        """One-way message flight."""
         self.message_count += 1
         if self.jitter_frac <= 0:
             # Jitter-free fast path: fixed latency, no RNG draw.
             delay = self.one_way_us
         else:
             delay = self._sample_one_way()
-        sim = self.sim
-        if lane is not None and sim._lane_mode:
-            yield sim.timeout_into(lane, delay)
-        else:
-            yield Timeout(sim, delay)
+        yield Timeout(self.sim, delay)
 
     def rpc(self, server: "Server", method: str, *args,
             ctx: Optional[OpContext] = None, **kwargs):
@@ -70,14 +59,6 @@ class Network:
         self.rpc_count += 1
         if ctx is not None:
             ctx.rpcs += 1
-        # Lane handoff: the request flight lands on the server's lane (the
-        # handler then batches with the server host's CPU/disk events) and
-        # the response flight returns to the caller's.
-        if self.sim._lane_mode:
-            origin_lane = self.sim._current_lane
-            target_lane = server.host.lane
-        else:
-            origin_lane = target_lane = None
         tracer = self.sim.tracer
         if tracer.enabled:
             span = tracer.begin(
@@ -95,11 +76,11 @@ class Network:
             started_us = None
         if tracer.enabled:
             sent_us = self.sim._now
-            yield from self.transit(target_lane)
+            yield from self.transit()
             tracer.charge("wire", self.sim._now - sent_us,
                           server.host.name)
         else:
-            yield from self.transit(target_lane)
+            yield from self.transit()
         ok = True
         try:
             result = yield from server.dispatch(method, args, kwargs, span)
@@ -110,11 +91,11 @@ class Network:
             # The response (or error) still has to fly back.
             if tracer.enabled:
                 sent_us = self.sim._now
-                yield from self.transit(origin_lane)
+                yield from self.transit()
                 tracer.charge("wire", self.sim._now - sent_us,
                               server.host.name)
             else:
-                yield from self.transit(origin_lane)
+                yield from self.transit()
             if span is not None:
                 tracer.end(span, self.sim.now, ok=ok)
             if started_us is not None and telemetry.enabled:

@@ -300,7 +300,7 @@ def to_folded(profile: CostProfile) -> List[str]:
     cells and the diff aligns on them.  Values are integer microseconds
     rounded *after* aggregation; lines are sorted, which (together with
     simulated-time determinism) makes the output byte-identical across
-    kernels and repeat runs.  Zero-rounded lines are dropped — the format
+    repeat runs.  Zero-rounded lines are dropped — the format
     requires positive integers.
     """
     merged: Dict[str, int] = {}

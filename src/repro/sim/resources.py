@@ -5,19 +5,13 @@ single write head, or a latch: ``capacity`` concurrent holders, FIFO queueing.
 :class:`Store` is an unbounded FIFO mailbox used for asynchronous message
 passing (Raft RPCs, background compaction queues).
 
-Under the lane-sharded kernel (``MANTLE_SIM_LANES``) nothing here changes:
-grants and mailbox wakeups are zero-delay pushes through ``sim._micro``,
-which stays the one global FIFO deque in every mode — same-timestamp work
-is lane-agnostic.  Only *delayed* events (the holder's ``Host.work`` /
-``fsync`` timeouts) live on a lane heap, and those land on the owning
-host's lane because the resume that schedules them runs as that host's
-heap event.
+Grants and mailbox wakeups are zero-delay: they go straight onto the
+kernel's microtask deque (``sim._micro``).
 """
 
 from __future__ import annotations
 
 import collections
-from heapq import heappush as _heappush
 from typing import Any, Deque, List
 
 # _PENDING is the kernel's internal "not yet triggered" sentinel; the flat
@@ -125,12 +119,7 @@ class Resource:
                 self.peak_in_use = in_use
             req._granted = True
             req._value = None
-            sim = self.sim
-            if sim._fast:
-                sim._micro.append(req)
-            else:
-                sim._seq += 1
-                _heappush(sim._queue, (sim._now, sim._seq, req))
+            self.sim._micro.append(req)
         else:
             self._waiting.append(req)
             if self.label is not None:
@@ -213,11 +202,7 @@ class Store:
             # Non-empty fast path: trigger inline (fresh event, _ok is
             # already True).
             ev._value = self._items.popleft()
-            if sim._fast:
-                sim._micro.append(ev)
-            else:
-                sim._seq += 1
-                _heappush(sim._queue, (sim._now, sim._seq, ev))
+            sim._micro.append(ev)
         else:
             self._getters.append(ev)
         return ev

@@ -314,7 +314,7 @@ def digest_bucket(value: float) -> int:
     Bucket ``i >= 1`` covers ``(gamma^(i-1), gamma^i] * MIN``; bucket 0
     holds everything at or below :data:`DIGEST_MIN_VALUE_US`.  Pure
     arithmetic on the recorded float, so bit-identical inputs bucket
-    identically on every kernel.
+    identically.
     """
     if value <= DIGEST_MIN_VALUE_US:
         return 0

@@ -31,8 +31,7 @@ Design constraints, in order of importance:
   whose duration clears a per-op-type adaptive threshold (a quantile of
   the op's own duration digest), under a bounded span budget with whole-
   tree eviction — so slow-op exemplars survive ring pressure.  The keep
-  decision depends only on simulated durations, so it is deterministic
-  across kernels.
+  decision depends only on simulated durations, so it is deterministic.
 
 Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
 constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
@@ -341,8 +340,7 @@ class TailKeeper:
     whole (``evicted_roots`` counts them).
 
     Decisions read only simulated durations and integer counts, never the
-    wall clock or an RNG — identical traffic keeps identical trees on
-    every kernel.
+    wall clock or an RNG — identical traffic keeps identical trees.
     """
 
     __slots__ = ("quantile", "threshold_us", "min_samples", "budget",

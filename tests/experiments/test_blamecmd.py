@@ -6,8 +6,7 @@ validator wiring on a tiny point, CLI exit codes, and the slow
 acceptance battery — on the fig14 shared-mkdir storm the top culprit
 must be the storming op type itself, the multitenant scenario must blame
 the storm tenant for the majority of the victim's queueing, and the
-JSON exports must be byte-identical across all three simulation kernels
-(occupant tracking is pure bookkeeping).
+JSON exports must match their golden digests.
 """
 
 import hashlib
@@ -24,8 +23,8 @@ from repro.sim.critpath import validate_blame
 _FIG14_SMALL = dict(scale="quick", systems=["mantle"], clients=24)
 
 
-#: sha256 of the blame exports, captured when all three schedulers then in
-#: the tree produced them byte for byte.
+#: sha256 of the blame exports, captured when three interchangeable
+#: schedulers all produced them byte for byte.
 _FIG14_EXPORT_SHA256 = (
     "91bd1e1f82b98001c0edfded8746b286ee3a0f8248d2356ba928e38e4fd3f2cc")
 _MULTITENANT_EXPORT_SHA256 = (
@@ -35,19 +34,6 @@ _MULTITENANT_EXPORT_SHA256 = (
 def _sha256_file(path) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _kernel_envs():
-    """The three A/B kernel settings: fast (default), legacy, lanes."""
-    return ({"MANTLE_SIM_FAST": "1"}, {"MANTLE_SIM_FAST": "0"},
-            {"MANTLE_SIM_LANES": "1"})
-
-
-def _set_kernel(monkeypatch, env):
-    for key in ("MANTLE_SIM_FAST", "MANTLE_SIM_LANES"):
-        monkeypatch.delenv(key, raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
 
 
 class TestRunBlame:
@@ -99,7 +85,7 @@ class TestCli:
 class TestBlameValidation:
     """The acceptance battery: the storming op type must come out as the
     top culprit, the multitenant victim's queueing must trace to the
-    storm tenant, and exports must not depend on the kernel."""
+    storm tenant, and exports must match their golden digests."""
 
     def test_fig14_storm_names_mkdir_as_top_culprit(self, tmp_path,
                                                     monkeypatch):
@@ -115,16 +101,6 @@ class TestBlameValidation:
         _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
         assert _sha256_file(tmp_path / artifacts[0]["path"]) == \
             _FIG14_EXPORT_SHA256
-
-    def test_fig14_export_byte_identical_across_kernels(self, tmp_path,
-                                                        monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        blobs = set()
-        for env in _kernel_envs():
-            _set_kernel(monkeypatch, env)
-            _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
-            blobs.add((tmp_path / artifacts[0]["path"]).read_bytes())
-        assert len(blobs) == 1
 
     def test_multitenant_blames_storm_for_victim_queueing(self, tmp_path,
                                                           monkeypatch):
@@ -148,13 +124,3 @@ class TestBlameValidation:
         artifact = run_multitenant(scale="quick")
         assert _sha256_file(tmp_path / artifact["path"]) == \
             _MULTITENANT_EXPORT_SHA256
-
-    def test_multitenant_export_byte_identical_across_kernels(
-            self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        blobs = set()
-        for env in _kernel_envs():
-            _set_kernel(monkeypatch, env)
-            artifact = run_multitenant(scale="quick")
-            blobs.add((tmp_path / artifact["path"]).read_bytes())
-        assert len(blobs) == 1

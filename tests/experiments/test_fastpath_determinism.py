@@ -1,17 +1,19 @@
-"""Fast-path regression gate: kernel optimisations must not move results.
+"""Golden values: kernel and shared-code changes must not move results.
 
-The two-tier scheduler in ``repro.sim.core`` (microtask deque + heap) is a
-pure wall-clock optimisation — every simulated timestamp, throughput figure
-and RPC count must be bit-identical to the legacy all-heap path.  These
-tests pin that down at three levels:
+The two-tier scheduler in ``repro.sim.core`` (microtask deque + heap) runs
+events in ``(time, seq)`` order.  Every simulated timestamp, throughput
+figure and RPC count downstream of it is pinned here by a golden value at
+three levels:
 
-* a kernel-level trace with the ``Simulator(fast_paths=...)`` kwarg,
-* a full mdtest run toggled via the ``MANTLE_SIM_FAST`` env flag,
-* fig12 at quick scale, run twice and against the legacy kernel.
+* a kernel-level trace touching every scheduling path (sha256 of its repr),
+* a full mdtest run's metrics (a literal fingerprint),
+* fig12 at quick scale (its literal table rows).
 
-``TestLaneKernelDeterminism`` extends the gate to the lane-sharded kernel
-(``MANTLE_SIM_LANES``): per-host lanes and capped lanes must reproduce the
-single-loop kernels' results exactly, on mdtest and on a full figure.
+The values were captured when three interchangeable schedulers (this one,
+an all-heap loop and a lane-sharded loop) all reproduced them bit for bit.
+A golden value also catches a change in shared code (network, resources,
+TafDB) that would have moved every scheduler in lockstep.  Instrumentation
+(tracing, telemetry) must leave the same results untouched.
 """
 
 import hashlib
@@ -26,11 +28,11 @@ from repro.sim.resources import Resource
 from repro.workloads.mdtest import MdtestWorkload
 
 
-def _kernel_trace(fast_paths=None):
-    """A scenario touching every fast path: zero-delay resumes, contended
-    resources, AnyOf fan-out and interrupts.  Returns the (time, label)
-    event trace."""
-    sim = Simulator(fast_paths=fast_paths)
+def _kernel_trace():
+    """A scenario touching every scheduling path: zero-delay resumes,
+    contended resources, AnyOf fan-out and interrupts.  Returns the
+    (time, label) event trace."""
+    sim = Simulator()
     resource = Resource(sim, capacity=2)
     trace = []
 
@@ -84,8 +86,7 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: Golden values, captured when the default, legacy all-heap and
-#: lane-sharded schedulers all reproduced them bit for bit.
+#: Golden values (see the module docstring for their provenance).
 _KERNEL_TRACE_SHA256 = (
     "940251a72c2000ccf3becef0b57862da015d2506af3ed92125fff062760b68df")
 _MDTEST_FINGERPRINT = (72, 0, 1704.4, {"objstat": (72, 284.066666667)},
@@ -119,102 +120,12 @@ class TestGoldenValues:
 
 
 class TestFastPathDeterminism:
-    def test_kernel_trace_fast_equals_legacy(self):
-        assert _kernel_trace(fast_paths=True) == _kernel_trace(
-            fast_paths=False)
-
-    def test_env_flag_disables_fast_paths(self, monkeypatch):
-        # Lane mode forces the two-tier scheduler, so it must be off for
-        # MANTLE_SIM_FAST=0 to reach the legacy kernel.
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        assert Simulator()._fast is False
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
-        assert Simulator()._fast is True
-        monkeypatch.delenv("MANTLE_SIM_FAST")
-        assert Simulator()._fast is True  # default on
-
-    def test_mdtest_metrics_identical_fast_vs_legacy(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
-        fast = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _mdtest_fingerprint()
-        assert fast == legacy
-
     def test_tracing_does_not_change_results(self, monkeypatch):
         """Span tracing is pure bookkeeping: identical simulated results."""
-        monkeypatch.delenv("MANTLE_TRACE", raising=False)
-        untraced = _mdtest_fingerprint()
         monkeypatch.setenv("MANTLE_TRACE", "1")
-        traced = _mdtest_fingerprint()
-        assert untraced == traced
-
-    def test_tracing_identical_on_legacy_kernel(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        monkeypatch.delenv("MANTLE_TRACE", raising=False)
-        untraced = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_TRACE", "1")
-        traced = _mdtest_fingerprint()
-        assert untraced == traced
+        assert _mdtest_fingerprint() == _MDTEST_FINGERPRINT
 
     def test_telemetry_does_not_change_results(self, monkeypatch):
         """Windowed telemetry is pure bookkeeping: identical results."""
-        monkeypatch.delenv("MANTLE_TELEMETRY", raising=False)
-        off = _mdtest_fingerprint()
         monkeypatch.setenv("MANTLE_TELEMETRY", "1")
-        on = _mdtest_fingerprint()
-        assert off == on
-
-    def test_telemetry_identical_on_legacy_kernel(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        monkeypatch.delenv("MANTLE_TELEMETRY", raising=False)
-        off = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_TELEMETRY", "1")
-        on = _mdtest_fingerprint()
-        assert off == on
-
-    def test_fig12_quick_identical_across_runs_and_kernels(self, monkeypatch):
-        first = _fig12_rows()
-        second = _fig12_rows()
-        assert first == second
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _fig12_rows()
-        assert first == legacy
-
-
-class TestLaneKernelDeterminism:
-    """The lane-sharded kernel (``MANTLE_SIM_LANES``) is the third A/B
-    point: per-host event lanes, same simulated history bit-for-bit."""
-
-    def test_mdtest_metrics_identical_lanes_vs_global(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        single = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _mdtest_fingerprint()
-        assert lanes == single
-
-    def test_mdtest_metrics_identical_with_lane_cap(self, monkeypatch):
-        # A lane cap changes only which heap an event waits in (hosts
-        # round-robin over N lanes), never the execution order.
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        per_host = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "3")
-        capped = _mdtest_fingerprint()
-        assert capped == per_host
-
-    def test_mdtest_metrics_identical_lanes_vs_legacy(self, monkeypatch):
-        # All three kernels agree: the lane kernel is transitively pinned
-        # against the legacy all-heap scheduler too.
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _mdtest_fingerprint()
-        assert lanes == legacy
-
-    def test_fig12_quick_identical_under_lanes(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        single = _fig12_rows()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _fig12_rows()
-        assert lanes == single
+        assert _mdtest_fingerprint() == _MDTEST_FINGERPRINT

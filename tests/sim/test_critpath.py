@@ -10,9 +10,9 @@ The guarantees that make the gating profile trustworthy are pinned here:
   serial (back-to-back) siblings all stay,
 * segment decomposition — charges verbatim, queue refined by resource,
   blocked-on edges capped by the idle residual, the rest ``idle``,
-* exports are schema-valid and byte-identical across kernels, and
+* exports are schema-valid and match a golden digest, and
 * extraction is pure bookkeeping: simulated results with tracing on are
-  bit-identical to an uninstrumented run on both kernels.
+  bit-identical to an uninstrumented run.
 """
 
 import hashlib
@@ -372,11 +372,9 @@ def _traced_run(op="mkdir", **kw):
 
 
 class TestClusterInvariants:
-    """The load-bearing invariants on a real traced cluster, both kernels."""
+    """The load-bearing invariants on a real traced cluster."""
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_paths_conserve_op_latency(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_paths_conserve_op_latency(self):
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         assert crit.ops > 0
@@ -386,9 +384,7 @@ class TestClusterInvariants:
         shares = crit.shares()
         assert sum(shares.values()) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_write_path_sees_fsync_and_fanout(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_write_path_sees_fsync_and_fanout(self):
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         kinds = crit.gated_by_kind()
@@ -421,21 +417,7 @@ class TestClusterInvariants:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "9843b457bf6a72495a3ec8eada1619588c618da0f1d7955ba52d5c79576959e4")
 
-    def test_export_byte_identical_across_kernels(self, monkeypatch):
-        blobs = {}
-        for fast in ("1", "0"):
-            monkeypatch.setenv("MANTLE_SIM_FAST", fast)
-            _m, tracer, _t = _traced_run()
-            crit = critpath_from_tracer(tracer, name="kernel-check")
-            contrast = contrast_with_profile(
-                crit, profile_from_tracer(tracer))
-            blobs[fast] = json.dumps(to_critpath_payload(crit, contrast),
-                                     sort_keys=True)
-        assert blobs["1"] == blobs["0"]
-
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_tracing_is_pure_bookkeeping(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_tracing_is_pure_bookkeeping(self):
         plain = mdtest_metrics("mantle", "mkdir", mode="shared",
                                clients=8, items=4)
         traced, _tracer, _t = _traced_run()
@@ -443,13 +425,10 @@ class TestClusterInvariants:
             traced.mean_latency_us("mkdir")
         assert plain.ops_completed == traced.ops_completed
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_replication_edge_splits_follower_phases(self, monkeypatch,
-                                                     fast):
+    def test_replication_edge_splits_follower_phases(self):
         """The quorum wait decomposes: the follower's durable flush and
         apply are attributed to the *follower's* host, and what remains on
         raft.replicate is pure wire time."""
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         follower_flush = [(c, us) for c, us in crit.gated.items()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.core import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim.core import (AllOf, AnyOf, Interrupt, SimulationError,
+                             Simulator)
 
 
 class TestConditionFailures:
@@ -160,7 +161,6 @@ class TestRunSemantics:
         assert stamps == sorted(stamps)
 
     def test_event_value_accessors_guarded(self):
-        from repro.sim.core import SimulationError
         sim = Simulator()
         ev = sim.event()
         with pytest.raises(SimulationError):
@@ -169,3 +169,66 @@ class TestRunSemantics:
             _ = ev.ok
         ev.succeed(7)
         assert ev.value == 7 and ev.ok
+
+    def test_run_until_in_the_past_is_rejected(self):
+        # Regression: with a later event still queued, run(until=t) for
+        # t < now used to set the clock back to t.
+        sim = Simulator()
+
+        def late():
+            yield sim.timeout(50)
+
+        sim.process(late())
+        sim.run(until=20)
+        assert sim.now == 20.0
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        assert sim.now == 20.0
+        sim.run()
+        assert sim.now == 50.0
+
+    def test_run_until_now_drains_due_events(self):
+        sim = Simulator()
+        fired = []
+
+        def body():
+            yield sim.timeout(10)
+            ev = sim.event()
+            ev.succeed()
+            yield ev
+            fired.append(sim.now)
+            yield sim.timeout(10)
+            fired.append(sim.now)
+
+        sim.process(body())
+        sim.run(until=10)
+        assert fired == [10.0]
+        sim.run(until=10)  # no-op: nothing more is due at t=10
+        assert sim.now == 10.0 and fired == [10.0]
+        sim.run()
+        assert fired == [10.0, 20.0]
+
+
+class TestDequeOrdering:
+    def test_rounded_away_delay_takes_the_deque(self):
+        """A positive delay that vanishes in floating point (``now + delay
+        == now``) is a zero-delay event: it must join the microtask deque
+        behind the triggers already there.  Were it pushed onto the heap
+        at the current time, the run loop would pop it ahead of them."""
+        sim = Simulator()
+        order = []
+
+        def body():
+            yield sim.timeout(2.0 ** 60)
+            first = sim.event()
+            first.callbacks.append(lambda _ev: order.append("trigger"))
+            first.succeed()
+            tiny = sim.timeout(1.0)
+            assert sim.now + 1.0 == sim.now
+            assert tiny in sim._micro and not sim._queue
+            tiny.callbacks.append(lambda _ev: order.append("timeout"))
+            yield tiny
+
+        sim.process(body())
+        sim.run()
+        assert order == ["trigger", "timeout"]

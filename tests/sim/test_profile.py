@@ -8,8 +8,8 @@ explicit) are pinned here:
 * charges land on the innermost open span of the charging process, and
   charges with no span open accrue to the unattributed bucket instead of
   leaking into a neighbouring span,
-* both flame-graph export formats satisfy their validators and are
-  deterministic across kernels,
+* both flame-graph export formats satisfy their validators, and the
+  folded export of a real run matches a golden digest,
 * profiling is pure bookkeeping: simulated results with it on are
   bit-identical to an uninstrumented run, and
 * profiler CPU reconciles exactly with telemetry's busy counters.
@@ -273,16 +273,6 @@ class TestProfiledRunInvariants:
         assert digest == (
             "4c39b98762e26036b7118137b8514f5c8ca6d297c1abbac06a73ea845ab24829")
 
-    def test_folded_output_identical_across_kernels(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
-        _m, tracer, _t = _profiled_run()
-        fast = to_folded(profile_from_tracer(tracer))
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        _m, tracer, _t = _profiled_run()
-        legacy = to_folded(profile_from_tracer(tracer))
-        assert fast == legacy
-        assert validate_folded(fast) == []
-
 
 def _fingerprint(metrics):
     return (
@@ -297,10 +287,7 @@ def _fingerprint(metrics):
 
 
 class TestProfilingIsPureBookkeeping:
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_results_bit_identical_profiling_on_vs_off(self, monkeypatch,
-                                                       fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_results_bit_identical_profiling_on_vs_off(self):
         plain = mdtest_metrics("mantle", "objstat", clients=8, items=4,
                                depth=6)
         profiled, _tracer, _telemetry = _profiled_run()

@@ -2,8 +2,8 @@
 
 Everything here runs on synthetic timestamps — no simulator — because the
 instruments are pure arithmetic over (time, value) pairs.  The "telemetry
-cannot change simulated results" contract is pinned separately in
-``tests/experiments/test_fastpath_determinism.py``.
+cannot change simulated results" contract is pinned separately, against
+golden values, in ``tests/experiments/test_fastpath_determinism.py``.
 """
 
 import pytest

@@ -169,12 +169,10 @@ class TestChromeExport:
         assert any("bad ts" in p for p in problems)
 
 
-@pytest.mark.parametrize("fast", ["1", "0"])
 class TestSpanTreeInvariants:
-    """Whole-stack invariants, pinned on both the fast and legacy kernels."""
+    """Whole-stack invariants on a traced client session."""
 
-    def _client_session(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def _client_session(self):
         client = MantleClient(MantleConfig.small(tracing=True))
         results = [
             client.mkdir("/a"),
@@ -188,8 +186,8 @@ class TestSpanTreeInvariants:
             client.mkdir("/a")  # already exists -> failed op root
         return client, results
 
-    def test_children_nest_within_parents(self, monkeypatch, fast):
-        client, _results = self._client_session(monkeypatch, fast)
+    def test_children_nest_within_parents(self):
+        client, _results = self._client_session()
         try:
             spans = list(client.tracer.spans)
             assert spans, "tracing was enabled but produced no spans"
@@ -205,8 +203,8 @@ class TestSpanTreeInvariants:
         finally:
             client.close()
 
-    def test_rpc_span_count_matches_ctx_rpcs(self, monkeypatch, fast):
-        client, results = self._client_session(monkeypatch, fast)
+    def test_rpc_span_count_matches_ctx_rpcs(self):
+        client, results = self._client_session()
         try:
             spans = list(client.tracer.spans)
             roots = [s for s in spans if s.category == "op"]
