@@ -166,7 +166,7 @@ OP_NAMES: Tuple[str, ...] = tuple(OP_TYPES)
 
 
 def make_op(name: str, *args) -> Op:
-    """Build the typed op for a legacy ``(name, *args)`` call.
+    """Build the typed op for a ``(name, *args)`` tuple.
 
     Raises ``ValueError`` for unknown operation names.
     """
