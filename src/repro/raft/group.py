@@ -82,11 +82,11 @@ class RaftGroup:
             span = tracer.begin("raft.msg:" + type(message).__name__,
                                 self.sim.now, category="raft", host=host)
             sent_us = self.sim._now
-            yield from self.network.transit()
+            yield self.network.transit()
             tracer.charge("wire", self.sim._now - sent_us, host)
         else:
             span = None
-            yield from self.network.transit()
+            yield self.network.transit()
         target = self.nodes.get(to_id)
         dropped = target is None or target._stopped or target.host.crashed
         if span is not None:

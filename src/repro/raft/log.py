@@ -91,21 +91,22 @@ class RaftLog:
         are skipped.  Returns the number of *new* entries physically
         appended (for fsync accounting).
         """
-        appended = 0
-        for offset, entry in enumerate(entries):
-            index = prev_index + 1 + offset
-            if index <= self._base_index:
-                continue  # covered by our snapshot
-            existing_term = self.term_at(index)
-            if existing_term is None:
-                self._entries.append(entry)
-                appended += 1
-            elif existing_term != entry.term:
-                # Conflict: drop this suffix and everything after it.
-                del self._entries[index - self._base_index - 1:]
-                self._entries.append(entry)
-                appended += 1
-        return appended
+        # Skip the part of the batch the snapshot already covers.
+        offset = max(0, self._base_index - prev_index)
+        log = self._entries
+        # ``position`` indexes ``_entries`` for batch entry ``offset``.
+        position = prev_index + offset - self._base_index
+        overlap = min(len(entries), offset + len(log) - position)
+        while (offset < overlap
+               and log[position].term == entries[offset].term):
+            offset += 1
+            position += 1
+        if offset < overlap:
+            # Conflict: drop this entry and everything after it.
+            del log[position:]
+        new = entries[offset:]
+        log.extend(new)
+        return len(new)
 
     def up_to_date(self, other_last_index: int, other_last_term: int) -> bool:
         """Is (other_last_term, other_last_index) at least as current as us?

@@ -227,7 +227,8 @@ class RaftNode:
                 if pending_get.triggered:
                     message = pending_get.value
                     pending_get = None
-                    yield from self._handle(message)
+                    if message is not _POKE:
+                        yield from self._handle(message)
                 yield from self._check_timers()
         except Interrupt:
             return
@@ -352,21 +353,23 @@ class RaftNode:
     # -- message handling -------------------------------------------------------------
 
     def _handle(self, message):
-        if isinstance(message, _Poke):
-            return
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            span = tracer.begin("raft." + type(message).__name__,
-                                self.sim.now, category="raft",
-                                host=self.host.name)
-            try:
-                yield from self._handle_traced(message)
-            finally:
-                tracer.end(span, self.sim.now)
-            return
-        yield from self._handle_traced(message)
+        """The generator handling ``message``: the handler itself, or
+        under an enabled tracer one that wraps it in a span."""
+        if self.sim.tracer.enabled:
+            return self._handle_in_span(message)
+        return self._on_message(message)
 
-    def _handle_traced(self, message):
+    def _handle_in_span(self, message):
+        tracer = self.sim.tracer
+        span = tracer.begin("raft." + type(message).__name__,
+                            self.sim.now, category="raft",
+                            host=self.host.name)
+        try:
+            yield from self._on_message(message)
+        finally:
+            tracer.end(span, self.sim.now)
+
+    def _on_message(self, message):
         yield from self.host.work(self.group.costs.raft_msg_us)
         if isinstance(message, RequestVote):
             yield from self._on_request_vote(message)
@@ -558,16 +561,21 @@ class RaftNode:
         if self.role is not Role.LEADER:
             return
         old_commit = self.commit_index
-        voters = self.group.voter_ids()
-        for candidate in range(self.log.last_index, self.commit_index, -1):
-            if self.log.term_at(candidate) != self.current_term:
-                break
-            replicated = sum(
-                1 for vid in voters
-                if vid == self.id or self._match_index.get(vid, 0) >= candidate)
-            if replicated >= self.group.quorum():
-                self.commit_index = candidate
-                break
+        # N = the quorum-th largest replicated index over the voters (our
+        # own log counts in full).  Log terms never decrease and no log
+        # term exceeds ours, so log[N].term == currentTerm exactly when
+        # some index in (commitIndex, N] is committable, and N is the
+        # highest such index.
+        group = self.group
+        last = self.log.last_index
+        match = self._match_index
+        replicated = [last if vid == self.id else min(last, match.get(vid, 0))
+                      for vid in group.voter_ids()]
+        replicated.sort(reverse=True)
+        candidate = replicated[group.quorum() - 1]
+        if (candidate > old_commit
+                and self.log.term_at(candidate) == self.current_term):
+            self.commit_index = candidate
         if gating is not None and self.commit_index > old_commit:
             if self._commit_stats and self.sim.tracer.enabled:
                 follower = self.group.nodes.get(gating.follower_id)
@@ -700,13 +708,13 @@ class RaftNode:
             span = tracer.begin("raft.readindex", self.sim.now,
                                 category="raft", host=self.host.name)
             sent_us = self.sim._now
-            yield from self.group.network.transit()
+            yield self.group.network.transit()
             target = leader.commit_index
-            yield from self.group.network.transit()
+            yield self.group.network.transit()
             tracer.charge("wire", self.sim._now - sent_us, self.host.name)
             tracer.end(span, self.sim.now)
         else:
-            yield from self.group.network.transit()
+            yield self.group.network.transit()
             target = leader.commit_index
-            yield from self.group.network.transit()
+            yield self.group.network.transit()
         return target

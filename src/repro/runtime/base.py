@@ -121,9 +121,13 @@ class SimRuntime(Runtime):
 
     Every method delegates to the exact primitive the pre-seam code used,
     producing the identical yield sequence — this class must never add,
-    remove or reorder simulator events.  ``network`` may be ``None`` for
-    server-side runtimes (handlers charge work/fsync but never originate
-    RPCs); calling :meth:`rpc` on such a runtime is a bug and raises.
+    remove or reorder simulator events.  :meth:`work`, :meth:`fsync` and
+    :meth:`rpc` are plain functions that return the primitive's own
+    generator (``host.work``, ``host.fsync_cost``, ``network.rpc``), so
+    the caller's ``yield from`` drives it with no wrapper frame in
+    between.  ``network`` may be ``None`` for server-side runtimes
+    (handlers charge work/fsync but never originate RPCs); calling
+    :meth:`rpc` on such a runtime is a bug and raises at the call.
     """
 
     kind = "sim"
@@ -142,19 +146,17 @@ class SimRuntime(Runtime):
         yield self.sim.timeout(us)
 
     def work(self, host, us: float):
-        yield from host.work(us)
+        return host.work(us)
 
     def fsync(self, host, us: float):
-        yield from host.fsync_cost(us)
+        return host.fsync_cost(us)
 
     def rpc(self, service, method: str, *args, ctx=None, **kwargs):
         network = self.network
         if network is None:
             raise RuntimeError(
                 "this SimRuntime has no network transport attached")
-        result = yield from network.rpc(service, method, *args,
-                                        ctx=ctx, **kwargs)
-        return result
+        return network.rpc(service, method, *args, ctx=ctx, **kwargs)
 
     def gather(self, generators: Iterable):
         sim = self.sim

@@ -270,6 +270,12 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
+        # ``_cb`` is a bound method pointing back at this process: drop it
+        # (and the generator with its bound methods) so a finished process
+        # is freed by refcount instead of waiting for the cyclic GC.  Any
+        # late delivery holds its own reference to the bound method, and
+        # ``_resume`` ignores it because the value is already set.
+        self._cb = self._send = self._throw = self._generator = None
         self.sim._micro.append(self)
 
 

@@ -36,15 +36,15 @@ class Network:
         spread = self.one_way_us * self.jitter_frac
         return max(1.0, self.one_way_us + self._rng.uniform(-spread, spread))
 
-    def transit(self):
-        """One-way message flight."""
+    def transit(self) -> Timeout:
+        """One-way message flight: the :class:`Timeout` to ``yield``."""
         self.message_count += 1
         if self.jitter_frac <= 0:
             # Jitter-free fast path: fixed latency, no RNG draw.
             delay = self.one_way_us
         else:
             delay = self._sample_one_way()
-        yield Timeout(self.sim, delay)
+        return Timeout(self.sim, delay)
 
     def rpc(self, server: "Server", method: str, *args,
             ctx: Optional[OpContext] = None, **kwargs):
@@ -76,11 +76,11 @@ class Network:
             started_us = None
         if tracer.enabled:
             sent_us = self.sim._now
-            yield from self.transit()
+            yield self.transit()
             tracer.charge("wire", self.sim._now - sent_us,
                           server.host.name)
         else:
-            yield from self.transit()
+            yield self.transit()
         ok = True
         try:
             result = yield from server.dispatch(method, args, kwargs, span)
@@ -91,11 +91,11 @@ class Network:
             # The response (or error) still has to fly back.
             if tracer.enabled:
                 sent_us = self.sim._now
-                yield from self.transit()
+                yield self.transit()
                 tracer.charge("wire", self.sim._now - sent_us,
                               server.host.name)
             else:
-                yield from self.transit()
+                yield self.transit()
             if span is not None:
                 tracer.end(span, self.sim.now, ok=ok)
             if started_us is not None and telemetry.enabled:
@@ -130,26 +130,35 @@ class Server:
         return self.host.sim
 
     def dispatch(self, method: str, args: tuple, kwargs: dict, span=None):
+        """The handler generator serving ``method``.
+
+        Untraced, this is the handler's own generator; under an enabled
+        tracer it is wrapped in one that opens the ``handler`` span.
+        """
         if self.host.crashed:
             raise ServiceUnavailableError(self.host.name)
         handler = getattr(self, "rpc_" + method, None)
         if handler is None:
             raise AttributeError(f"{type(self).__name__} has no RPC {method!r}")
+        if self.sim.tracer.enabled:
+            return self._dispatch_in_span(method, handler, args, kwargs,
+                                          span)
+        return handler(*args, **kwargs)
+
+    def _dispatch_in_span(self, method: str, handler, args: tuple,
+                          kwargs: dict, span):
         tracer = self.sim.tracer
-        if tracer.enabled:
-            hspan = tracer.begin("rpc_" + method, self.sim.now,
-                                 category="handler", parent=span,
-                                 host=self.host.name)
-            ok = True
-            try:
-                result = yield from handler(*args, **kwargs)
-            except BaseException:
-                ok = False
-                raise
-            finally:
-                tracer.end(hspan, self.sim.now, ok=ok)
-        else:
+        hspan = tracer.begin("rpc_" + method, self.sim.now,
+                             category="handler", parent=span,
+                             host=self.host.name)
+        ok = True
+        try:
             result = yield from handler(*args, **kwargs)
+        except BaseException:
+            ok = False
+            raise
+        finally:
+            tracer.end(hspan, self.sim.now, ok=ok)
         return result
 
 

@@ -10,6 +10,7 @@ statistics).
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Dict, Optional, Tuple
 
 from repro.workloads.namespace import NamespaceSpec, build_namespace
@@ -43,7 +44,10 @@ class NamespaceProfile:
             objects_per_dir=objects_per_dir,
             mean_depth=self.mean_depth,
             max_depth=min(self.max_depth, 30),  # laptop-scale clip
-            seed=seed if seed is not None else hash(self.name) & 0xFFFF,
+            # A stable digest of the name: ``hash(str)`` changes with
+            # PYTHONHASHSEED.
+            seed=(seed if seed is not None
+                  else zlib.crc32(self.name.encode()) & 0xFFFF),
             root=f"/{self.name}")
 
 

@@ -89,3 +89,78 @@ def test_compaction_preserves_suffix(entries, data):
     assert before == after
     assert log.base_index == max(cut, 0)
     assert log.term_at(cut) == cut_term
+
+
+def _reference_merge(entries, base, prev_index, batch):
+    """Skip-aware merge over a plain ``(term, command)`` list; returns the
+    number of entries appended.
+
+    Entries at or below the snapshot boundary ``base`` are skipped; the
+    rest follow :class:`ReferenceLog` semantics.
+    """
+    appended = 0
+    for offset, (term, command) in enumerate(batch):
+        index = prev_index + 1 + offset
+        if index <= base:
+            continue
+        if index > len(entries):
+            entries.append((term, command))
+            appended += 1
+        elif entries[index - 1][0] != term:
+            del entries[index - 1:]
+            entries.append((term, command))
+            appended += 1
+    return appended
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=15), st.data())
+def test_merge_after_compaction_matches_reference(steps, data):
+    """Merges after ``compact_to``: batches straddling ``base_index``, a
+    batch wholly below it, and a conflict part-way through a batch."""
+    terms, term = [], 1
+    for step in steps:
+        term += step
+        terms.append(term)
+    log = RaftLog()
+    for index, term in enumerate(terms, start=1):
+        log.append(term, ("old", index))
+    base = data.draw(st.integers(0, len(terms)), label="base")
+    log.compact_to(base, log.term_at(base))
+    prev_index = data.draw(st.integers(0, len(terms)), label="prev_index")
+    size = data.draw(st.integers(0, 8), label="size")
+    # Entries before ``conflict_at`` repeat the log (or, below the
+    # boundary, carry arbitrary terms the log must ignore); from there on
+    # they carry a term newer than any in the log, so the first one that
+    # overlaps the log conflicts.
+    conflict_at = data.draw(st.integers(0, size), label="conflict_at")
+    newer = terms[-1] + 1
+    batch = []
+    for offset in range(size):
+        index = prev_index + 1 + offset
+        if offset >= conflict_at or index > len(terms):
+            batch_term = newer
+        elif index <= base:
+            batch_term = data.draw(st.integers(1, newer), label="below")
+        else:
+            batch_term = terms[index - 1]
+        batch.append(LogEntry(batch_term, index, ("new", index)))
+
+    def suffix():
+        return [(log.term_at(i), log.entry(i).command)
+                for i in range(base + 1, log.last_index + 1)]
+
+    before = suffix()
+    expected = [(t, ("old", i)) for i, t in enumerate(terms, start=1)]
+    expected_appended = _reference_merge(
+        expected, base, prev_index, [(e.term, e.command) for e in batch])
+    appended = log.merge(prev_index, batch)
+
+    assert appended == expected_appended
+    assert log.base_index == base
+    assert log.last_index == len(expected)
+    assert suffix() == expected[base:]
+    if prev_index + size <= base:
+        # Wholly below the snapshot: nothing appended, log untouched.
+        assert appended == 0
+        assert suffix() == before
